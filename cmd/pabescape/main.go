@@ -51,13 +51,18 @@ var hotFuncs = map[string][]string{
 		"Downconvert", "DownconvertLP", "Envelope",
 		"CrossCorrelate", "NormalizedCrossCorrelate",
 		"(*IIR).Filter", "(*IIR).FiltFilt", "Decimate", "DecimateComplex",
+		"fftRadix2", "twiddlesFor", "releaseTwiddles", "twiddle", "radix2Stage", "radix4Stages",
+		"OverlapSaveBlock", "(*OverlapSave).Correlate",
 	},
 	"pab/internal/phy": {
 		"(*FM0).Encode", "(*FM0).DecodeFrom", "(*FM0).EncodeTemplate",
 		"DetectPacket", "DetectPacketCandidates", "MeasureSNR",
+		"CorrelatorFor", "(*Correlator).overlapSave", "(*Correlator).Correlate",
+		"(*Correlator).correlateReal", "(*Correlation).prefix", "(*moments).add",
+		"(*Correlation).scoreInto", "(*Correlation).Candidates", "pickPeaks", "maxAbsIn",
 	},
 	"pab/internal/core": {
-		"CoherentWave", "estimateAxis", "projectAxis",
+		"CoherentWave", "estimateAxis", "projectAxis", "projectAxisInto",
 		"(*Receiver).decodeAt", "(*Receiver).detectRefinedAll",
 	},
 	"pab/internal/channel": {

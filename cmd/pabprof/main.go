@@ -14,14 +14,18 @@
 //	pabprof -runs 20 -check BENCH_decode.json    # CI regression gate
 //	pabprof -trace-out trace.json                # Perfetto trace of the run
 //
+// Every stage also reports calls_per_op and ms_per_op: its invocations
+// and total time per decode.
+//
 // In -check mode the fresh measurement is compared against the given
-// baseline: every baseline stage must still report invocations and
-// samples, no stage's p50 may regress more than -max-regress×
-// (durations under -floor-ms are floored first so sub-noise stages
-// cannot trip the gate), and no stage's alloc_bytes_per_op may regress
-// more than -max-alloc-regress× (values under 4 KiB are floored so
-// allocator noise cannot trip it; 0 disables the gate). Violations go
-// to stderr and the exit code is 1.
+// baseline per decode, not per call: every baseline stage must still
+// report invocations and samples, no stage's time per decode may
+// regress more than -max-regress× (durations under -floor-ms are
+// floored first so sub-noise stages cannot trip the gate), and no
+// stage's allocation per decode may regress more than
+// -max-alloc-regress× (values under 4 KiB are floored so allocator
+// noise cannot trip it; 0 disables the gate). Violations go to stderr
+// and the exit code is 1.
 package main
 
 import (
@@ -54,9 +58,9 @@ func realMain() int {
 	warmup := flag.Int("warmup", 5, "unmeasured warm-up iterations")
 	bitrate := flag.Float64("bitrate", 500, "backscatter bitrate (bit/s)")
 	check := flag.String("check", "", "baseline BENCH_decode.json to gate against (exit 1 on regression)")
-	maxRegress := flag.Float64("max-regress", 2, "max allowed per-stage p50 regression factor in -check mode")
-	floorMS := flag.Float64("floor-ms", 0.05, "floor (ms) applied to p50s before the regression ratio")
-	maxAllocRegress := flag.Float64("max-alloc-regress", 1.5, "max allowed per-stage alloc_bytes_per_op regression factor in -check mode (0 disables the gate)")
+	maxRegress := flag.Float64("max-regress", 2, "max allowed per-stage regression factor of time per decode in -check mode")
+	floorMS := flag.Float64("floor-ms", 0.05, "floor (ms) applied to per-decode stage times before the regression ratio")
+	maxAllocRegress := flag.Float64("max-alloc-regress", 1.5, "max allowed per-stage regression factor of allocation per decode in -check mode (0 disables the gate)")
 	var tf cli.TelemetryFlags
 	tf.Register()
 	flag.Parse()
@@ -138,6 +142,8 @@ func run(out, check string, runs, warmup int, bitrate, maxRegress, floorMS, maxA
 	wall := time.Since(wallStart).Seconds()
 
 	snap := telemetry.Default().Snapshot()
+	stages := prof.CollectStageStats(snap.Spans)
+	prof.PerOp(stages, runs)
 	sort.Float64s(durs)
 	rep := prof.BenchReport{
 		SchemaVersion:    1,
@@ -149,7 +155,7 @@ func run(out, check string, runs, warmup int, bitrate, maxRegress, floorMS, maxA
 		WallS:            wall,
 		ChainP50MS:       percentileSorted(durs, 50) * 1e3,
 		ChainP99MS:       percentileSorted(durs, 99) * 1e3,
-		Stages:           prof.CollectStageStats(snap.Spans),
+		Stages:           stages,
 	}
 	if wall > 0 {
 		rep.OpsPerSec = float64(runs) / wall
@@ -194,12 +200,12 @@ func run(out, check string, runs, warmup int, bitrate, maxRegress, floorMS, maxA
 func printSummary(rep prof.BenchReport) {
 	fmt.Printf("decode chain: %d/%d runs decoded, %.1f ops/sec, p50 %.3f ms, p99 %.3f ms\n",
 		rep.Decoded, rep.Runs, rep.OpsPerSec, rep.ChainP50MS, rep.ChainP99MS)
-	fmt.Printf("%-12s %6s %10s %10s %12s %12s\n",
-		"stage", "count", "p50 ms", "p99 ms", "samples/s", "B/op")
+	fmt.Printf("%-12s %6s %9s %10s %10s %10s %12s %12s\n",
+		"stage", "count", "calls/op", "ms/op", "p50 ms", "p99 ms", "samples/s", "B/call")
 	for _, st := range prof.Stages {
 		s := rep.Stages[st.Key]
-		fmt.Printf("%-12s %6d %10.3f %10.3f %12.3g %12.0f\n",
-			st.Key, s.Count, s.P50MS, s.P99MS, s.SamplesPerSec, s.AllocBytesPerOp)
+		fmt.Printf("%-12s %6d %9.2f %10.3f %10.3f %10.3f %12.3g %12.0f\n",
+			st.Key, s.Count, s.CallsPerOp, s.MSPerOp, s.P50MS, s.P99MS, s.SamplesPerSec, s.AllocBytesPerOp)
 	}
 }
 

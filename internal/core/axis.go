@@ -53,9 +53,5 @@ func (a *AxisTracker) ProjectInto(dst []float64, block []complex128, quad bool) 
 	if quad {
 		ax.rot *= complex(0, 1)
 	}
-	out := dst[:len(block)]
-	for i, v := range block {
-		out[i] = real((v - ax.mean) * ax.rot)
-	}
-	return out
+	return projectAxisInto(dst, block, ax)
 }

@@ -123,7 +123,13 @@ func estimateAxis(seg []complex128) modAxis {
 
 // projectAxis applies an axis estimate to a whole stream.
 func projectAxis(bb []complex128, a modAxis) []float64 {
-	out := make([]float64, len(bb))
+	return projectAxisInto(make([]float64, len(bb)), bb, a)
+}
+
+// projectAxisInto is projectAxis writing into dst, which must hold at
+// least len(bb) elements. It returns dst[:len(bb)].
+func projectAxisInto(dst []float64, bb []complex128, a modAxis) []float64 {
+	out := dst[:len(bb)]
 	for i, v := range bb {
 		out[i] = real((v - a.mean) * a.rot)
 	}
@@ -315,7 +321,7 @@ func (r *Receiver) decodeBasebandStaged(parent *telemetry.Span, bb []complex128,
 		return nil, err
 	}
 	spSync := parent.Child("sync")
-	cands, err := r.detectRefinedAll(bb, fm0)
+	cands, wave, err := r.detectRefinedAll(bb, fm0)
 	if err != nil {
 		spSync.End()
 		return nil, err
@@ -330,8 +336,11 @@ func (r *Receiver) decodeBasebandStaged(parent *telemetry.Span, bb []complex128,
 	// the real packet (payload structure can out-correlate the preamble
 	// under heavy ISI).
 	var firstErr error
-	for _, c := range cands {
-		dec, err := r.decodeAt(bb, c.wave, c.sync, fm0)
+	for i, c := range cands {
+		if i > 0 {
+			projectAxisInto(wave, bb, c.axis)
+		}
+		dec, err := r.decodeAt(bb, wave, c.sync, fm0)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -489,7 +498,7 @@ func (r *Receiver) MeasureUplinkSNR(pressure []float64, carrier, bitrate float64
 	if err != nil {
 		return 0, 1, err
 	}
-	cands, err := r.detectRefinedAll(bb, fm0)
+	cands, wave, err := r.detectRefinedAll(bb, fm0)
 	if err != nil {
 		return 0, 1, err
 	}
@@ -498,13 +507,16 @@ func (r *Receiver) MeasureUplinkSNR(pressure []float64, carrier, bitrate float64
 	// CRC, available here even when the packet is too corrupted to pass.
 	best := -1.0
 	bestBER := 1.0
-	for _, c := range cands {
+	for i, c := range cands {
+		if i > 0 {
+			projectAxisInto(wave, bb, c.axis)
+		}
 		n := len(knownBits)
 		if n == 0 {
-			n = (len(c.wave) - c.sync.Index) / spb
+			n = (len(wave) - c.sync.Index) / spb
 		}
-		got, _ := fm0.DecodeFrom(c.wave[c.sync.Index:], n, c.sync.StartLevel)
-		snr := phy.MeasureSNR(c.wave[c.sync.Index:], got, fm0)
+		got, _ := fm0.DecodeFrom(wave[c.sync.Index:], n, c.sync.StartLevel)
+		snr := phy.MeasureSNR(wave[c.sync.Index:], got, fm0)
 		if snr > best {
 			best = snr
 			if knownBits != nil {
@@ -520,74 +532,73 @@ func (r *Receiver) MeasureUplinkSNR(pressure []float64, carrier, bitrate float64
 	return best, bestBER, nil
 }
 
-// detectRefined runs two-pass coherent detection: a coarse pass with the
-// axis estimated over the whole stream locates the preamble, then the
-// axis is re-estimated over the detected preamble alone — where the
-// modulation is guaranteed present — and detection and decoding proceed
-// on the refined projection. This is the per-packet channel estimation
-// of the paper's receiver (§5.1b).
+// refinedLock is one candidate packet lock: the modulation axis
+// re-estimated over the candidate's preamble, and the lock found on the
+// stream's projection onto it.
 type refinedLock struct {
-	wave []float64
+	axis modAxis
 	sync phy.Sync
 }
 
-// detectRefinedAll returns every surviving candidate lock, best refined
-// score first.
-func (r *Receiver) detectRefinedAll(bb []complex128, fm0 *phy.FM0) ([]refinedLock, error) {
+// detectRefinedAll runs two-pass coherent detection and returns every
+// surviving candidate lock, best refined score first, with the stream
+// projected onto the best lock's axis. Callers try the locks in order
+// and reuse that buffer for each later lock's projection. A coarse pass
+// with the axis estimated over the whole stream locates candidate
+// preambles; then the axis is re-estimated over each candidate's
+// preamble alone — where the modulation is guaranteed present — and
+// the candidate is re-detected on the refined projection. This is the
+// per-packet channel estimation of the paper's receiver (§5.1b).
+//
+// Every projection is scored from one complex correlation of the
+// stream (phy.Correlator), so the whole search costs one correlation,
+// and only the best lock is projected here.
+func (r *Receiver) detectRefinedAll(bb []complex128, fm0 *phy.FM0) ([]refinedLock, []float64, error) {
+	st := prof.Start(prof.StageSync)
+	defer st.Stop(len(bb))
 	// The global second-moment axis can sit arbitrarily far from the
 	// true modulation axis when the stream is mostly unmodulated
 	// carrier, leaving the real preamble buried on the coarse
 	// projection. Search two orthogonal coarse projections — the signal
 	// appears at ≥ 1/√2 of its amplitude on at least one of them.
 	axis := estimateAxis(bb)
-	axisQ := axis
-	axisQ.rot *= complex(0, 1)
+	corr, err := phy.CorrelatorFor(fm0).Correlate(bb, axis.mean)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: no preamble candidates on either projection")
+	}
 	firstThresh := r.DetectThreshold / 2
 	if firstThresh > 0.3 {
 		firstThresh = 0.3
 	}
 	preambleLen := len(phy.PreambleBits) * fm0.SamplesPerBit
 	cands := make([]phy.Sync, 0, 16) // two projections × maxK=8 below
-	for _, a := range []modAxis{axis, axisQ} {
-		coarse := projectAxis(bb, a)
-		cs, err := phy.DetectPacketCandidates(coarse, fm0, firstThresh, 8, preambleLen)
+	for _, rot := range [...]complex128{axis.rot, axis.rot * complex(0, 1)} {
+		cs, err := corr.Candidates(rot, 0, len(bb), firstThresh, 8, preambleLen)
 		if err != nil {
 			continue
 		}
 		cands = append(cands, cs...)
 	}
 	if len(cands) == 0 {
-		return nil, fmt.Errorf("core: no preamble candidates on either projection")
+		return nil, nil, fmt.Errorf("core: no preamble candidates on either projection")
 	}
 	out := make([]refinedLock, 0, len(cands))
 	for _, cand := range cands {
-		end := cand.Index + preambleLen
-		if end > len(bb) {
-			end = len(bb)
-		}
-		wave := projectAxis(bb, estimateAxis(bb[cand.Index:end]))
+		a := estimateAxis(bb[cand.Index:min(cand.Index+preambleLen, len(bb))])
 		// Re-detect only in a small window around this candidate: a
 		// global re-detect would let every candidate's refined wave
 		// converge onto the single strongest peak, collapsing the
 		// candidate set before the CRC can arbitrate.
-		lo := cand.Index - fm0.SamplesPerBit
-		if lo < 0 {
-			lo = 0
-		}
-		hi := cand.Index + fm0.SamplesPerBit + preambleLen
-		if hi > len(wave) {
-			hi = len(wave)
-		}
-		sync, err := phy.DetectPacket(wave[lo:hi], fm0, r.DetectThreshold)
+		lo := max(cand.Index-fm0.SamplesPerBit, 0)
+		hi := min(cand.Index+fm0.SamplesPerBit+preambleLen, len(bb))
+		syncs, err := corr.Candidates(a.rot, lo, hi, r.DetectThreshold, 1, 0)
 		if err != nil {
 			continue
 		}
-		sync.Index += lo
-		sync.PayloadIndex += lo
-		out = append(out, refinedLock{wave: wave, sync: sync})
+		out = append(out, refinedLock{axis: a, sync: syncs[0]})
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("core: no candidate packet survived axis refinement")
+		return nil, nil, fmt.Errorf("core: no candidate packet survived axis refinement")
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].sync.Score > out[b].sync.Score })
 	// Deduplicate locks that converged to the same index.
@@ -605,7 +616,7 @@ func (r *Receiver) detectRefinedAll(bb []complex128, fm0 *phy.FM0) ([]refinedLoc
 			dedup = append(dedup, c)
 		}
 	}
-	return dedup, nil
+	return dedup, projectAxis(bb, dedup[0].axis), nil
 }
 
 func abs(x int) int {
@@ -613,45 +624,6 @@ func abs(x int) int {
 		return -x
 	}
 	return x
-}
-
-// detectRefined returns the best candidate lock (compat wrapper).
-func (r *Receiver) detectRefined(bb []complex128, fm0 *phy.FM0) ([]float64, phy.Sync, error) {
-	coarse := CoherentWave(bb)
-	// Generous threshold for the first pass: the global axis may be far
-	// from the modulation axis, and payload structure can out-correlate
-	// the true preamble on the coarse projection — so evaluate several
-	// candidates and keep the one whose refined projection scores best.
-	firstThresh := r.DetectThreshold / 2
-	if firstThresh > 0.3 {
-		firstThresh = 0.3
-	}
-	preambleLen := len(phy.PreambleBits) * fm0.SamplesPerBit
-	cands, err := phy.DetectPacketCandidates(coarse, fm0, firstThresh, 8, preambleLen)
-	if err != nil {
-		return nil, phy.Sync{}, err
-	}
-	var bestWave []float64
-	var bestSync phy.Sync
-	found := false
-	for _, cand := range cands {
-		end := cand.Index + preambleLen
-		if end > len(bb) {
-			end = len(bb)
-		}
-		wave := projectAxis(bb, estimateAxis(bb[cand.Index:end]))
-		sync, err := phy.DetectPacket(wave, fm0, r.DetectThreshold)
-		if err != nil {
-			continue
-		}
-		if !found || sync.Score > bestSync.Score {
-			bestWave, bestSync, found = wave, sync, true
-		}
-	}
-	if !found {
-		return nil, phy.Sync{}, fmt.Errorf("core: no candidate packet survived axis refinement")
-	}
-	return bestWave, bestSync, nil
 }
 
 // CoherentWaveAround projects bb using the axis estimated over

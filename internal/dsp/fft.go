@@ -2,10 +2,12 @@
 // chain is built from: FFTs, window functions, FIR and Butterworth IIR
 // filters, mixing/downconversion, envelope detection and correlation.
 //
-// Everything operates on float64 (real) or complex128 sample slices. The
-// implementations favour clarity and numerical robustness over ultimate
-// speed; at the simulator's sample rates (≤192 kHz) they are far from the
-// bottleneck.
+// Everything operates on float64 (real) or complex128 sample slices.
+// The receive chain and the simulator spend most of their time here: in
+// the FFT (behind the preamble correlation, OverlapSave, and the
+// simulator's AnalyticSignal) and in the Butterworth channel filter. The
+// kernels favour numerical robustness first (twiddles from a table, not a
+// drifting recurrence), then speed.
 package dsp
 
 import (
@@ -13,6 +15,7 @@ import (
 	"math"
 	"math/bits"
 	"math/cmplx"
+	"sync"
 )
 
 // FFT returns the discrete Fourier transform of x. The input may be of any
@@ -73,6 +76,11 @@ func FFTReal(x []float64) []complex128 {
 // fftRadix2 transforms x in place. len(x) must be a power of two.
 // When inverse is true the conjugate transform is computed (without the
 // 1/N normalisation).
+//
+// It is a decimation-in-time transform on bit-reversed input: one
+// multiply-free pass for the first two radix-2 stages, then the rest in
+// pairs (radix-2²), so a long transform makes half as many passes over
+// memory. Twiddles come from twiddlesFor.
 func fftRadix2(x []complex128, inverse bool) {
 	n := len(x)
 	if n <= 1 {
@@ -80,30 +88,180 @@ func fftRadix2(x []complex128, inverse bool) {
 	}
 	// Bit-reversal permutation.
 	shift := 64 - uint(bits.TrailingZeros(uint(n)))
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> shift)
-		if j > i {
+	for i := range x {
+		if j := int(bits.Reverse64(uint64(i)) >> shift); j > i {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
-	sign := -1.0
-	if inverse {
-		sign = 1.0
+	if n == 2 {
+		x[0], x[1] = x[0]+x[1], x[0]-x[1]
+		return
 	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		step := 2 * math.Pi / float64(size) * sign
-		wStep := cmplx.Exp(complex(0, step))
-		for start := 0; start < n; start += size {
-			w := complex(1, 0)
-			for k := 0; k < half; k++ {
-				a := x[start+k]
-				b := x[start+k+half] * w
-				x[start+k] = a + b
-				x[start+k+half] = a - b
-				w *= wStep
+	// rot is the quarter turn W_4 = −j (+j for the inverse); sign flips
+	// the table's twiddles to their conjugates for the inverse.
+	rot, sign := complex(0, -1), 1.0
+	if inverse {
+		rot, sign = complex(0, 1), -1
+	}
+	// Stages 2 and 4: twiddles ±1 and rot, no multiplies.
+	for start := 0; start < n; start += 4 {
+		q := x[start : start+4 : start+4]
+		a0, a1 := q[0]+q[1], q[0]-q[1]
+		b0, b1 := q[2]+q[3], (q[2]-q[3])*rot
+		q[0], q[2] = a0+b0, a0-b0
+		q[1], q[3] = a1+b1, a1-b1
+	}
+	tab := twiddlesFor(n)
+	defer releaseTwiddles(tab)
+	half := 4 // half-size of the next stage
+	if bits.TrailingZeros(uint(n))%2 == 1 {
+		// An odd stage count: one radix-2 stage, then pairs.
+		radix2Stage(x, tab, half, sign)
+		half <<= 1
+	}
+	for ; half < n; half <<= 2 {
+		radix4Stages(x, tab, half, sign)
+	}
+}
+
+// twiddle returns e^(∓2πik/size) for k < size/2 from the shared table:
+// entry k·stride below the quarter turn, the quarter turn times entry
+// (k−size/4)·stride above it. sign −1 conjugates (the inverse).
+func twiddle(tw []complex128, k, quarter, stride int, sign float64) complex128 {
+	if k < quarter {
+		t := tw[k*stride]
+		return complex(real(t), sign*imag(t))
+	}
+	t := tw[(k-quarter)*stride]
+	return complex(imag(t), -sign*real(t))
+}
+
+// radix2Stage runs the radix-2 stage that merges blocks of half
+// samples into blocks of 2·half.
+func radix2Stage(x []complex128, tab *twiddleTable, half int, sign float64) {
+	stride := tab.n / (2 * half)
+	for start := 0; start < len(x); start += 2 * half {
+		lo := x[start : start+half]
+		hi := x[start+half : start+2*half]
+		hi = hi[:len(lo)]
+		for k := range lo {
+			u := hi[k] * twiddle(tab.tw, k, half/2, stride, sign)
+			lo[k], hi[k] = lo[k]+u, lo[k]-u
+		}
+	}
+}
+
+// radix4Stages runs the two radix-2 stages that merge blocks of h
+// samples into blocks of 4h in one pass: stage one (twiddle
+// w1 = W_2h^k) on the pairs (a, b) and (c, d), stage two (w2 = W_4h^k,
+// and W_4h^(k+h) = W_4·w2, a quarter turn) on (a', c') and (b', d').
+func radix4Stages(x []complex128, tab *twiddleTable, h int, sign float64) {
+	n := len(x)
+	s1, s2 := tab.n/(2*h), tab.n/(4*h)
+	if h < n/(4*h) {
+		// Many short blocks: walk each twiddle pair across the blocks.
+		for k := 0; k < h; k++ {
+			w1 := twiddle(tab.tw, k, h/2, s1, sign)
+			w2 := twiddle(tab.tw, k, h, s2, sign)
+			for i := k; i < n; i += 4 * h {
+				bw, dw := x[i+h]*w1, x[i+3*h]*w1
+				a1, b1 := x[i]+bw, x[i]-bw
+				c1, d1 := x[i+2*h]+dw, x[i+2*h]-dw
+				cw, dv := c1*w2, d1*w2
+				dv = complex(sign*imag(dv), -sign*real(dv))
+				x[i], x[i+2*h] = a1+cw, a1-cw
+				x[i+h], x[i+3*h] = b1+dv, b1-dv
 			}
 		}
+		return
+	}
+	for start := 0; start < n; start += 4 * h {
+		a := x[start : start+h]
+		b := x[start+h : start+2*h]
+		c := x[start+2*h : start+3*h]
+		d := x[start+3*h : start+4*h]
+		b, c, d = b[:len(a)], c[:len(a)], d[:len(a)]
+		for k := range a {
+			w1 := twiddle(tab.tw, k, h/2, s1, sign)
+			w2 := twiddle(tab.tw, k, h, s2, sign)
+			bw, dw := b[k]*w1, d[k]*w1
+			a1, b1 := a[k]+bw, a[k]-bw
+			c1, d1 := c[k]+dw, c[k]-dw
+			cw, dv := c1*w2, d1*w2
+			dv = complex(sign*imag(dv), -sign*real(dv))
+			a[k], c[k] = a1+cw, a1-cw
+			b[k], d[k] = b1+dv, b1-dv
+		}
+	}
+}
+
+// twiddleTable holds the forward twiddles e^(−2πik/n), k < n/4, of one
+// power-of-two size n; the rest of the half circle follows by a
+// quarter-turn rotation, and every smaller size reads the table with a
+// stride (its twiddle k is entry k·(n/size), the same Sincos argument
+// bit for bit, since scaling by a power of two is exact). A table costs
+// 4n bytes.
+type twiddleTable struct {
+	n  int
+	tw []complex128
+}
+
+// twiddleCap is the largest size whose twiddles are kept for the life
+// of the process: the receiver's largest overlap-save block, in a
+// 64 KiB table. Each entry comes from math.Sincos; a running product
+// w *= wStep drifts by ~k ulps over a long stage.
+const twiddleCap = 1 << 14
+
+// capTwiddles is built on first use; sync.OnceValue makes concurrent
+// first use (the simulator runs exchanges on parallel workers) safe.
+var capTwiddles = sync.OnceValue(buildCapTwiddles)
+
+func buildCapTwiddles() *twiddleTable {
+	t := &twiddleTable{n: twiddleCap, tw: make([]complex128, twiddleCap/4)}
+	for k := range t.tw {
+		sin, cos := math.Sincos(-2 * math.Pi * float64(k) / twiddleCap)
+		t.tw[k] = complex(cos, sin)
+	}
+	return t
+}
+
+// largeTwiddles pools the tables of sizes above twiddleCap, one pool
+// per log2(size): a simulator running many large transforms reuses
+// them, and the collector reclaims them once large transforms stop, so
+// they are not a standing cost to processes that only decode.
+var largeTwiddles [33]sync.Pool
+
+// twiddlesFor returns a table covering size n, a power of two ≥ 4; pass
+// it to releaseTwiddles after the transform. Above twiddleCap (the
+// simulator's analytic signal) the table is built from the kept one:
+// with r = n/twiddleCap and k = q·r + j,
+// e^(−2πik/n) = e^(−2πiq/twiddleCap)·e^(−2πij/n), one multiply per
+// entry and r Sincos calls, within an ulp or two of Sincos.
+func twiddlesFor(n int) *twiddleTable {
+	base := capTwiddles()
+	if n <= twiddleCap {
+		return base
+	}
+	if t, ok := largeTwiddles[bits.TrailingZeros(uint(n))].Get().(*twiddleTable); ok {
+		return t
+	}
+	shift := uint(bits.TrailingZeros(uint(n / twiddleCap)))
+	fine := make([]complex128, n/twiddleCap)
+	for j := range fine {
+		sin, cos := math.Sincos(-2 * math.Pi * float64(j) / float64(n))
+		fine[j] = complex(cos, sin)
+	}
+	t := &twiddleTable{n: n, tw: make([]complex128, n/4)}
+	for k := range t.tw {
+		t.tw[k] = base.tw[k>>shift] * fine[k&(len(fine)-1)]
+	}
+	return t
+}
+
+// releaseTwiddles returns a table from twiddlesFor.
+func releaseTwiddles(t *twiddleTable) {
+	if t.n > twiddleCap {
+		largeTwiddles[bits.TrailingZeros(uint(t.n))].Put(t)
 	}
 }
 
@@ -323,10 +481,12 @@ func AnalyticSignal(x []float64) []complex128 {
 		buf[k] = 0
 	}
 	fftRadix2(buf, true)
+	// Scale in place and return the prefix: a copy would allocate n
+	// more complex samples per call.
+	out := buf[:n:n]
 	inv := complex(1/float64(m), 0)
-	out := make([]complex128, n)
 	for i := range out {
-		out[i] = buf[i] * inv
+		out[i] *= inv
 	}
 	return out
 }

@@ -1,13 +1,10 @@
 package phy
 
 import (
-	"fmt"
 	"math"
 	"math/cmplx"
 
-	"pab/internal/dsp"
 	"pab/internal/prof"
-	"pab/internal/telemetry"
 )
 
 // PreambleBits is the 9-bit synchronisation pattern used on both links
@@ -50,77 +47,17 @@ func DetectPacket(wave []float64, m *FM0, threshold float64) (Sync, error) {
 // strongest first, separated by at least minSeparation samples (default:
 // one preamble length). Multiple candidates let a receiver disambiguate
 // when payload structure correlates with the preamble template as well —
-// it can test each candidate and keep the one that decodes.
+// it can test each candidate and keep the one that decodes. It is the
+// real-waveform face of Correlator, whose cached template spectrum it
+// shares.
 func DetectPacketCandidates(wave []float64, m *FM0, threshold float64, maxK, minSeparation int) ([]Sync, error) {
 	st := prof.Start(prof.StageSync)
 	defer st.Stop(len(wave))
-	tmpl := m.EncodeTemplate(PreambleBits)
-	if len(wave) < len(tmpl) {
-		return nil, fmt.Errorf("phy: waveform shorter than preamble (%d < %d)", len(wave), len(tmpl))
+	c, err := CorrelatorFor(m).correlateReal(wave)
+	if err != nil {
+		return nil, err
 	}
-	if maxK < 1 {
-		maxK = 1
-	}
-	if minSeparation <= 0 {
-		minSeparation = len(tmpl)
-	}
-	centered := make([]float64, len(wave))
-	mean := meanOf(wave)
-	for i, v := range wave {
-		centered[i] = v - mean
-	}
-	corr := dsp.NormalizedCrossCorrelate(centered, tmpl)
-	// FM0's start level is unknown, so the preamble may appear inverted:
-	// search |corr| and recover the polarity from the sign.
-	taken := make([]bool, len(corr))
-	out := make([]Sync, 0, maxK)
-	for k := 0; k < maxK; k++ {
-		bestIdx, bestAbs := -1, threshold
-		for i, v := range corr {
-			if taken[i] {
-				continue
-			}
-			if a := math.Abs(v); a >= bestAbs {
-				bestIdx, bestAbs = i, a
-			}
-		}
-		if bestIdx < 0 {
-			break
-		}
-		val := corr[bestIdx]
-		start := 1.0
-		if val < 0 {
-			start = -1
-		}
-		_, finalLevel := m.Encode(PreambleBits, start)
-		out = append(out, Sync{
-			Index:        bestIdx,
-			Score:        math.Abs(val),
-			StartLevel:   start,
-			PayloadLevel: finalLevel,
-			PayloadIndex: bestIdx + len(PreambleBits)*m.SamplesPerBit,
-		})
-		lo := bestIdx - minSeparation
-		if lo < 0 {
-			lo = 0
-		}
-		hi := bestIdx + minSeparation
-		if hi > len(corr) {
-			hi = len(corr)
-		}
-		for i := lo; i < hi; i++ {
-			taken[i] = true
-		}
-	}
-	if len(out) == 0 {
-		telemetry.Inc(telemetry.MPhySyncMissesTotal)
-		_, best := dsp.ArgMaxAbs(corr)
-		return nil, fmt.Errorf("phy: no preamble found (best %.3f < threshold %.3f)", math.Abs(best), threshold)
-	}
-	telemetry.Inc(telemetry.MPhySyncDetectsTotal)
-	telemetry.ObserveN(telemetry.MPhySyncCandidates, telemetry.DefCountBuckets, float64(len(out)))
-	telemetry.ObserveN(telemetry.MPhySyncPeak, syncPeakBuckets, out[0].Score)
-	return out, nil
+	return c.Candidates(1, 0, len(wave), threshold, maxK, minSeparation)
 }
 
 // syncPeakBuckets resolve the normalised correlation range [0, 1].

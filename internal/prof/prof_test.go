@@ -147,16 +147,16 @@ func TestCollectStageStats(t *testing.T) {
 func TestBenchReportCheckAgainst(t *testing.T) {
 	base := BenchReport{
 		Stages: map[string]StageStats{
-			"sync":   {Count: 10, P50MS: 1.0, TotalSamples: 100},
-			"decode": {Count: 10, P50MS: 2.0, TotalSamples: 100},
+			"sync":   {Count: 10, CallsPerOp: 1, MSPerOp: 1.0, TotalSamples: 100},
+			"decode": {Count: 10, CallsPerOp: 1, MSPerOp: 2.0, TotalSamples: 100},
 		},
 	}
 	// Clean run: slight regression within budget.
 	cur := BenchReport{
 		Decoded: 5,
 		Stages: map[string]StageStats{
-			"sync":   {Count: 10, P50MS: 1.5, TotalSamples: 100},
-			"decode": {Count: 10, P50MS: 2.0, TotalSamples: 100},
+			"sync":   {Count: 10, CallsPerOp: 1, MSPerOp: 1.5, TotalSamples: 100},
+			"decode": {Count: 10, CallsPerOp: 1, MSPerOp: 2.0, TotalSamples: 100},
 		},
 	}
 	if problems := cur.CheckAgainst(base, 2, 0.05, 1.5); len(problems) != 0 {
@@ -165,7 +165,7 @@ func TestBenchReportCheckAgainst(t *testing.T) {
 	// Regression, missing stage, zero samples, zero decodes.
 	bad := BenchReport{
 		Stages: map[string]StageStats{
-			"sync": {Count: 10, P50MS: 5.0, TotalSamples: 0},
+			"sync": {Count: 10, CallsPerOp: 1, MSPerOp: 5.0, TotalSamples: 0},
 		},
 	}
 	problems := bad.CheckAgainst(base, 2, 0.05, 1.5)
@@ -174,17 +174,17 @@ func TestBenchReportCheckAgainst(t *testing.T) {
 			len(problems), problems)
 	}
 	// The floor keeps sub-noise stages from tripping the ratio: 0.01 ms
-	// vs 0.001 ms is 10x raw but 1x after a 0.05 ms floor.
+	// vs 0.001 ms per decode is 10x raw but 1x after a 0.05 ms floor.
 	noisy := BenchReport{
 		Decoded: 1,
 		Stages: map[string]StageStats{
-			"sync":   {Count: 10, P50MS: 0.01, TotalSamples: 100},
-			"decode": {Count: 10, P50MS: 2.0, TotalSamples: 100},
+			"sync":   {Count: 10, CallsPerOp: 1, MSPerOp: 0.01, TotalSamples: 100},
+			"decode": {Count: 10, CallsPerOp: 1, MSPerOp: 2.0, TotalSamples: 100},
 		},
 	}
 	tiny := BenchReport{Stages: map[string]StageStats{
-		"sync":   {Count: 10, P50MS: 0.001, TotalSamples: 100},
-		"decode": {Count: 10, P50MS: 2.0, TotalSamples: 100},
+		"sync":   {Count: 10, CallsPerOp: 1, MSPerOp: 0.001, TotalSamples: 100},
+		"decode": {Count: 10, CallsPerOp: 1, MSPerOp: 2.0, TotalSamples: 100},
 	}}
 	if problems := noisy.CheckAgainst(tiny, 2, 0.05, 1.5); len(problems) != 0 {
 		t.Fatalf("floored comparison flagged: %v", problems)
@@ -194,18 +194,18 @@ func TestBenchReportCheckAgainst(t *testing.T) {
 func TestBenchReportAllocGate(t *testing.T) {
 	base := BenchReport{
 		Stages: map[string]StageStats{
-			"decode": {Count: 10, P50MS: 2.0, TotalSamples: 100, AllocBytesPerOp: 100_000},
-			"sync":   {Count: 10, P50MS: 1.0, TotalSamples: 100, AllocBytesPerOp: 1000},
+			"decode": {Count: 10, CallsPerOp: 1, MSPerOp: 2.0, TotalSamples: 100, AllocBytesPerOp: 100_000},
+			"sync":   {Count: 10, CallsPerOp: 1, MSPerOp: 1.0, TotalSamples: 100, AllocBytesPerOp: 1000},
 		},
 	}
-	// decode doubles its per-op allocations: past a 1.5x budget. sync
+	// decode doubles its per-decode allocations: past a 1.5x budget. sync
 	// also doubles, but both sides sit under the 4 KiB floor, so the
 	// allocator-noise clamp keeps it clean.
 	cur := BenchReport{
 		Decoded: 5,
 		Stages: map[string]StageStats{
-			"decode": {Count: 10, P50MS: 2.0, TotalSamples: 100, AllocBytesPerOp: 200_000},
-			"sync":   {Count: 10, P50MS: 1.0, TotalSamples: 100, AllocBytesPerOp: 2000},
+			"decode": {Count: 10, CallsPerOp: 1, MSPerOp: 2.0, TotalSamples: 100, AllocBytesPerOp: 200_000},
+			"sync":   {Count: 10, CallsPerOp: 1, MSPerOp: 1.0, TotalSamples: 100, AllocBytesPerOp: 2000},
 		},
 	}
 	problems := cur.CheckAgainst(base, 2, 0.05, 1.5)
@@ -217,8 +217,44 @@ func TestBenchReportAllocGate(t *testing.T) {
 		t.Fatalf("disabled alloc gate still flagged: %v", problems)
 	}
 	// Within budget passes.
-	cur.Stages["decode"] = StageStats{Count: 10, P50MS: 2.0, TotalSamples: 100, AllocBytesPerOp: 140_000}
+	cur.Stages["decode"] = StageStats{Count: 10, CallsPerOp: 1, MSPerOp: 2.0, TotalSamples: 100, AllocBytesPerOp: 140_000}
 	if problems := cur.CheckAgainst(base, 2, 0.05, 1.5); len(problems) != 0 {
 		t.Fatalf("within-budget alloc flagged: %v", problems)
+	}
+}
+
+// TestBenchReportComparesPerDecode pins the gate's unit: a stage that
+// merges many short calls into one longer call passes as long as its
+// time and allocation per decode hold, and a baseline without
+// per-decode figures is refused rather than compared per call.
+func TestBenchReportComparesPerDecode(t *testing.T) {
+	base := BenchReport{Stages: map[string]StageStats{
+		"sync": {Count: 1080, P50MS: 0.43, CallsPerOp: 18, MSPerOp: 28, TotalSamples: 100, AllocBytesPerOp: 750_000},
+	}}
+	fused := BenchReport{Decoded: 60, Stages: map[string]StageStats{
+		"sync": {Count: 60, P50MS: 6, CallsPerOp: 1, MSPerOp: 6, TotalSamples: 100, AllocBytesPerOp: 6_000_000},
+	}}
+	if problems := fused.CheckAgainst(base, 2, 0.05, 1.5); len(problems) != 0 {
+		t.Fatalf("fused stage flagged: %v", problems)
+	}
+	// The same fused call at 3x its per-decode time regresses.
+	slow := fused
+	slow.Stages = map[string]StageStats{
+		"sync": {Count: 60, P50MS: 90, CallsPerOp: 1, MSPerOp: 90, TotalSamples: 100, AllocBytesPerOp: 6_000_000},
+	}
+	if problems := slow.CheckAgainst(base, 2, 0.05, 1.5); len(problems) != 1 || !strings.Contains(problems[0], "per decode") {
+		t.Fatalf("want one per-decode time regression, got %v", problems)
+	}
+	old := BenchReport{Stages: map[string]StageStats{"sync": {Count: 1080, P50MS: 0.43, TotalSamples: 100}}}
+	if problems := fused.CheckAgainst(old, 2, 0.05, 1.5); len(problems) != 1 || !strings.Contains(problems[0], "regenerate") {
+		t.Fatalf("want a refusal of the per-call baseline, got %v", problems)
+	}
+}
+
+func TestPerOp(t *testing.T) {
+	stats := map[string]StageStats{"sync": {Count: 36, MeanMS: 0.5}}
+	PerOp(stats, 2)
+	if s := stats["sync"]; s.CallsPerOp != 18 || s.MSPerOp != 9 {
+		t.Fatalf("calls/op %g ms/op %g, want 18 and 9", s.CallsPerOp, s.MSPerOp)
 	}
 }

@@ -29,6 +29,28 @@ type StageStats struct {
 	// AllocBytesPerOp is the mean heap-allocation delta per
 	// invocation (0 unless alloc tracking was on).
 	AllocBytesPerOp float64 `json:"alloc_bytes_per_op"`
+	// CallsPerOp is invocations per measured chain run (one decode),
+	// and MSPerOp the stage's total time per chain run. Unlike the
+	// per-invocation figures above, they stay comparable when a change
+	// merges or splits a stage's calls. Set by PerOp.
+	CallsPerOp float64 `json:"calls_per_op"`
+	MSPerOp    float64 `json:"ms_per_op"`
+}
+
+// AllocBytesPerDecode is the stage's heap allocation per chain run.
+func (s StageStats) AllocBytesPerDecode() float64 { return s.AllocBytesPerOp * s.CallsPerOp }
+
+// PerOp fills every stage's per-chain-run figures, given how many
+// chain runs the spans behind stats cover.
+func PerOp(stats map[string]StageStats, runs int) {
+	if runs <= 0 {
+		return
+	}
+	for key, st := range stats {
+		st.CallsPerOp = float64(st.Count) / float64(runs)
+		st.MSPerOp = st.MeanMS * float64(st.Count) / float64(runs)
+		stats[key] = st
+	}
 }
 
 // stageSpanPrefix is how StageTimer names its span records.
@@ -140,14 +162,18 @@ type BenchReport struct {
 }
 
 // CheckAgainst gates a fresh measurement against a committed baseline
-// (the CI bench-decode-smoke job): every baseline stage must still be
-// present with nonzero invocations and samples, no stage's p50 may
-// regress more than maxRegress×, and — when maxAllocRegress > 0 — no
-// stage's alloc_bytes_per_op may grow more than maxAllocRegress×.
-// Durations under floorMS are floored before the latency ratio so
-// sub-noise stages cannot trip the gate; the allocation ratio floors at
-// 4 KiB per op for the same reason (allocator noise on near-zero
-// stages). Returns one message per violation.
+// (the CI bench-decode-smoke job) per chain run, not per call: sync ran
+// 18 times per decode before it was fused into one correlation, so a
+// per-call p50 no longer compares like with like. Every baseline stage
+// must still be present with nonzero invocations and samples, no
+// stage's time per decode (ms_per_op) may regress more than
+// maxRegress×, and — when maxAllocRegress > 0 — no stage's allocation
+// per decode (alloc_bytes_per_op × calls_per_op) may grow more than
+// maxAllocRegress×. Durations under floorMS are floored before the
+// latency ratio so sub-noise stages cannot trip the gate; the
+// allocation ratio floors at 4 KiB per decode for the same reason
+// (allocator noise on near-zero stages). Returns one message per
+// violation.
 func (r BenchReport) CheckAgainst(base BenchReport, maxRegress, floorMS, maxAllocRegress float64) []string {
 	var problems []string
 	floor := func(v float64) float64 {
@@ -169,19 +195,24 @@ func (r BenchReport) CheckAgainst(base BenchReport, maxRegress, floorMS, maxAllo
 			problems = append(problems, fmt.Sprintf("stage %q: no invocations recorded (baseline has %d)", key, bs.Count))
 			continue
 		}
+		if bs.CallsPerOp == 0 {
+			problems = append(problems, fmt.Sprintf("stage %q: baseline has no per-decode figures (calls_per_op); regenerate it", key))
+			continue
+		}
 		if cur.TotalSamples == 0 {
 			problems = append(problems, fmt.Sprintf("stage %q: zero samples processed", key))
 		}
-		if ratio := floor(cur.P50MS) / floor(bs.P50MS); ratio > maxRegress {
+		if ratio := floor(cur.MSPerOp) / floor(bs.MSPerOp); ratio > maxRegress {
 			problems = append(problems, fmt.Sprintf(
-				"stage %q: p50 regressed %.2fx (%.3fms vs baseline %.3fms, budget %.1fx)",
-				key, ratio, cur.P50MS, bs.P50MS, maxRegress))
+				"stage %q: ms per decode regressed %.2fx (%.3fms vs baseline %.3fms, budget %.1fx)",
+				key, ratio, cur.MSPerOp, bs.MSPerOp, maxRegress))
 		}
 		if maxAllocRegress > 0 {
-			if ratio := floorAlloc(cur.AllocBytesPerOp) / floorAlloc(bs.AllocBytesPerOp); ratio > maxAllocRegress {
+			c, b := cur.AllocBytesPerDecode(), bs.AllocBytesPerDecode()
+			if ratio := floorAlloc(c) / floorAlloc(b); ratio > maxAllocRegress {
 				problems = append(problems, fmt.Sprintf(
-					"stage %q: alloc_bytes_per_op regressed %.2fx (%.0fB vs baseline %.0fB, budget %.1fx)",
-					key, ratio, cur.AllocBytesPerOp, bs.AllocBytesPerOp, maxAllocRegress))
+					"stage %q: alloc per decode (alloc_bytes_per_op × calls_per_op) regressed %.2fx (%.0fB vs baseline %.0fB, budget %.1fx)",
+					key, ratio, c, b, maxAllocRegress))
 			}
 		}
 	}
