@@ -790,8 +790,8 @@ func BenchmarkAblationCoherentVsEnvelope(b *testing.B) {
 		allBits := append(append([]phy.Bit{}, phy.PreambleBits...), res.Decoded.Bits...)
 		env := dsp.Envelope(bb)
 		envSNR := phy.MeasureSNR(env[idx:], allBits, fm0)
-		coh := core.CoherentWaveAround(bb, idx, idx+len(allBits)*spb)
-		cohSNR := phy.MeasureSNR(coh[idx:], allBits, fm0)
+		coh := core.CoherentWave(bb[idx:min(idx+len(allBits)*spb, len(bb))])
+		cohSNR := phy.MeasureSNR(coh, allBits, fm0)
 		if envSNR <= 0 {
 			envSNR = 1e-6
 		}

@@ -63,7 +63,7 @@ var hotFuncs = map[string][]string{
 	},
 	"pab/internal/core": {
 		"CoherentWave", "estimateAxis", "projectAxis", "projectAxisInto",
-		"(*Receiver).decodeAt", "(*Receiver).detectRefinedAll",
+		"decodeAt", "detectRefinedAll",
 	},
 	"pab/internal/channel": {
 		"(*ImpulseResponse).Apply",

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -44,6 +45,11 @@ type goldenExchange struct {
 	MeasureOK  bool    `json:"measure_ok"`
 	MeasureSNR float64 `json:"measure_snr,omitempty"`
 	MeasureBER float64 `json:"measure_ber,omitempty"`
+
+	// cfg and query replay the exchange: a link built from cfg, powered
+	// and sent query, records the same exchange again.
+	cfg   LinkConfig
+	query frame.Query
 }
 
 // goldenStrata span both pools, the four bitrates on the paper node's
@@ -70,20 +76,26 @@ const goldenReps = 2
 // outcome on each.
 func goldenCorpus(t *testing.T) []goldenExchange {
 	t.Helper()
-	var out []goldenExchange
-	i := 0
-	for rep := 0; rep < goldenReps; rep++ {
-		for _, noise := range goldenNoisePa {
-			for _, br := range goldenBitrates {
-				for _, pool := range goldenPools {
-					rng := rand.New(rand.NewSource(1_000_003 + int64(i)))
-					i++
-					out = append(out, goldenRun(t, rng, pool.name, pool.tank(), pool.box, br, noise, rep%2 == 1))
-				}
-			}
-		}
+	n := goldenReps * len(goldenNoisePa) * len(goldenBitrates) * len(goldenPools)
+	out := make([]goldenExchange, 0, n)
+	for i := range n {
+		out = append(out, goldenCase(t, i))
 	}
 	return out
+}
+
+// goldenCase runs the corpus's i-th exchange. The pool varies fastest,
+// then the bitrate, the noise level and the repetition.
+func goldenCase(t *testing.T, i int) goldenExchange {
+	t.Helper()
+	pool := goldenPools[i%len(goldenPools)]
+	j := i / len(goldenPools)
+	br := goldenBitrates[j%len(goldenBitrates)]
+	j /= len(goldenBitrates)
+	noise := goldenNoisePa[j%len(goldenNoisePa)]
+	rep := j / len(goldenNoisePa)
+	rng := rand.New(rand.NewSource(1_000_003 + int64(i)))
+	return goldenRun(t, rng, pool.name, pool.tank(), pool.box, br, noise, rep%2 == 1)
 }
 
 // goldenRun draws node positions until the node powers up and answers
@@ -104,18 +116,7 @@ func goldenRun(t *testing.T, rng *rand.Rand, pool string, tank channel.Tank, box
 			Z: box[0].Z + rng.Float64()*(box[1].Z-box[0].Z),
 		}
 		cfg.Seed = rng.Int63n(1<<40) + 1
-		n, err := NewPaperNode(0x01, bitrate, sensors.RoomTank())
-		if err != nil {
-			t.Fatal(err)
-		}
-		proj, err := NewPaperProjector(cfg.SampleRate)
-		if err != nil {
-			t.Fatal(err)
-		}
-		link, err := NewLink(cfg, n, proj)
-		if err != nil {
-			t.Fatal(err)
-		}
+		link := goldenLink(t, cfg, bitrate)
 		if link.EnsurePowered(60) != nil {
 			continue
 		}
@@ -126,7 +127,9 @@ func goldenRun(t *testing.T, rng *rand.Rand, pool string, tank channel.Tank, box
 		if res.UplinkBits == nil {
 			continue // the node missed the query: no uplink to decode
 		}
-		g := goldenExchange{Pool: pool, BitrateBps: n.Bitrate(), NoisePa: noise, Seed: cfg.Seed}
+		n := link.Node()
+		g := goldenExchange{Pool: pool, BitrateBps: n.Bitrate(), NoisePa: noise, Seed: cfg.Seed, cfg: cfg, query: q}
+		name := fmt.Sprintf("%s %g bit/s %g Pa", pool, n.Bitrate(), noise)
 		recv := link.Receiver()
 		dec, err := recv.DecodeUplink(res.Recording, cfg.CarrierHz, n.Bitrate(), res.DecodeGate)
 		if err == nil {
@@ -136,15 +139,51 @@ func goldenRun(t *testing.T, rng *rand.Rand, pool string, tank channel.Tank, box
 			g.SyncScore = dec.Sync.Score
 			g.SNRLinear = dec.SNRLinear
 			g.CFOHz = dec.CFOHz
+			// RunQuery's own decode is the same decode.
+			if res.Decoded == nil || bitString(res.Decoded.Bits) != g.Bits || res.Decoded.Sync.Index != g.SyncIndex {
+				t.Errorf("%s: RunQuery decode %+v disagrees with DecodeUplink (index %d, bits %q)", name, res.Decoded, g.SyncIndex, g.Bits)
+			}
 		}
 		snr, ber, err := recv.MeasureUplinkSNR(res.Recording, cfg.CarrierHz, n.Bitrate(), res.UplinkBits, res.DecodeGate)
 		if err == nil {
 			g.MeasureOK, g.MeasureSNR, g.MeasureBER = true, snr, ber
 		}
+		// When the CRC fails, RunQuery falls back to the measurement.
+		if !g.OK {
+			switch {
+			case !g.MeasureOK:
+				if res.Decoded != nil || res.UplinkBER != 1 {
+					t.Errorf("%s: RunQuery reports %+v, BER %g; MeasureUplinkSNR found no lock", name, res.Decoded, res.UplinkBER)
+				}
+			case res.Decoded == nil:
+				t.Errorf("%s: RunQuery reports no SNR; MeasureUplinkSNR measured %g", name, snr)
+			case !closeRel(res.Decoded.SNRLinear, snr, 1e-9) || !closeRel(res.UplinkBER, ber, 1e-9):
+				t.Errorf("%s: RunQuery fallback SNR %.17g BER %.17g, MeasureUplinkSNR %.17g %.17g",
+					name, res.Decoded.SNRLinear, res.UplinkBER, snr, ber)
+			}
+		}
 		return g
 	}
 	t.Fatalf("%s %g bit/s %g Pa: no powered, answering node position", pool, bitrate, noise)
 	return goldenExchange{}
+}
+
+// goldenLink builds a fresh paper node, projector and link on cfg.
+func goldenLink(t *testing.T, cfg LinkConfig, bitrate float64) *Link {
+	t.Helper()
+	n, err := NewPaperNode(0x01, bitrate, sensors.RoomTank())
+	if err != nil {
+		t.Fatal(err)
+	}
+	proj, err := NewPaperProjector(cfg.SampleRate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	link, err := NewLink(cfg, n, proj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return link
 }
 
 func bitString(bits []phy.Bit) string {
@@ -284,5 +323,68 @@ func TestDecodeRunsOneSyncStage(t *testing.T) {
 	}
 	if calls := syncCalls() - before; calls != 1 {
 		t.Fatalf("decode ran %d sync stage calls, want 1", calls)
+	}
+}
+
+// TestFailedQueryRunsOneFrontEnd pins RunQuery's receive chain to one
+// pass: on an exchange whose uplink fails the CRC, the SNR and BER
+// fallback reuses the decode's candidate locks, so the exchange runs
+// one downconversion, one channel filter and exactly the sync stage
+// calls of one DecodeUplink on its recording.
+func TestFailedQueryRunsOneFrontEnd(t *testing.T) {
+	b, err := os.ReadFile(decodeGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []goldenExchange
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatal(err)
+	}
+	idx := -1
+	for i, w := range want {
+		if w.NoisePa == 200 && !w.OK && w.MeasureOK {
+			idx = i
+			break
+		}
+	}
+	if idx < 0 {
+		t.Fatal("golden corpus has no measured-but-undecoded 200 Pa exchange")
+	}
+	g := goldenCase(t, idx)
+	if g.OK || !g.MeasureOK {
+		t.Fatalf("exchange %d: decode ok=%v measure ok=%v, want a measured failure", idx, g.OK, g.MeasureOK)
+	}
+	link := goldenLink(t, g.cfg, g.BitrateBps)
+	if err := link.EnsurePowered(60); err != nil {
+		t.Fatal(err)
+	}
+
+	was := telemetry.Enabled()
+	telemetry.SetEnabled(true)
+	defer telemetry.SetEnabled(was)
+	calls := func() (downconvert, filter, sync int64) {
+		h := telemetry.Default().Snapshot().Histograms
+		return h[string(telemetry.MProfStageDownconvertSeconds)].Count,
+			h[string(telemetry.MProfStageFilterSeconds)].Count,
+			h[string(telemetry.MProfStageSyncSeconds)].Count
+	}
+	d0, f0, s0 := calls()
+	res, err := link.RunQuery(g.query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d1, f1, s1 := calls()
+	if res.Decoded == nil || !closeRel(res.Decoded.SNRLinear, g.MeasureSNR, 1e-9) {
+		t.Fatalf("replayed exchange reports %+v, want the measured SNR %g", res.Decoded, g.MeasureSNR)
+	}
+	if _, err := link.Receiver().DecodeUplink(res.Recording, g.cfg.CarrierHz, g.BitrateBps, res.DecodeGate); err == nil {
+		t.Fatal("replayed exchange decodes; want a CRC failure")
+	}
+	_, _, s2 := calls()
+	if d1-d0 != 1 || f1-f0 != 1 {
+		t.Errorf("RunQuery ran %d downconvert and %d filter stage calls, want 1 each", d1-d0, f1-f0)
+	}
+	if s1-s0 != s2-s1 {
+		t.Errorf("RunQuery ran %d sync stage calls, one DecodeUplink %d", s1-s0, s2-s1)
 	}
 }

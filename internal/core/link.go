@@ -393,14 +393,16 @@ func (l *Link) RunQuery(q frame.Query) (*ExchangeResult, error) {
 	if res.UplinkBits != nil {
 		gate := queryEndX + int(0.01*l.cfg.SampleRate)
 		res.DecodeGate = gate
-		dec, err := l.recv.DecodeUplinkTraced(sp, y, l.cfg.CarrierHz, l.node.Bitrate(), gate)
-		if err == nil {
+		dec, lk, err := l.recv.decodeUplink(sp, y, l.cfg.CarrierHz, l.node.Bitrate(), gate)
+		switch {
+		case err == nil:
 			res.Decoded = dec
 			res.UplinkBER = phy.BER(res.UplinkBits[len(phy.PreambleBits):], dec.Bits)
-		} else {
-			// Keep the SNR measurement even when the CRC fails.
-			snr, ber, merr := l.recv.MeasureUplinkSNR(y, l.cfg.CarrierHz, l.node.Bitrate(), res.UplinkBits, gate)
-			if merr == nil {
+		case lk != nil:
+			// Keep the SNR measurement even when the CRC fails: measure
+			// the candidate locks the decode just tried (MeasureUplinkSNR
+			// without a second front-end pass).
+			if snr, ber, merr := lk.measure(res.UplinkBits); merr == nil {
 				res.Decoded = &Decoded{SNRLinear: snr}
 				res.UplinkBER = ber
 			}
@@ -543,18 +545,4 @@ func dopplerScale(x []float64, radialSpeedMS, soundSpeed float64) []float64 {
 		out[i] = x[j]*(1-frac) + x[j+1]*frac
 	}
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -25,10 +25,28 @@ import (
 type Receiver struct {
 	Hydro      hydrophone.Hydrophone
 	SampleRate float64
-	// FilterOrder of the Butterworth low-pass used after mixing.
-	FilterOrder int
-	// DetectThreshold is the normalised preamble correlation threshold.
-	DetectThreshold float64
+}
+
+// FilterOrder is the order of the Butterworth channel filter after
+// mixing.
+const FilterOrder = 4
+
+// detectThreshold is the normalised preamble correlation threshold a
+// refined lock must reach.
+const detectThreshold = 0.55
+
+// CoarseThreshold is the coarse sync pass's correlation threshold:
+// half the lock threshold, capped at 0.3, so a preamble seen at ≥ 1/√2
+// of its amplitude on one of two orthogonal projections still
+// registers.
+const CoarseThreshold = min(detectThreshold/2, 0.3)
+
+// ChannelCutoff is the channel filter's low-pass cutoff at a
+// backscatter bitrate: four times the FM0 occupied bandwidth, which
+// keeps the bit transitions sharp enough for the half-bit correlators,
+// clamped to [200 Hz, fs/4].
+func ChannelCutoff(bitrate, fs float64) float64 {
+	return min(max(4*phy.OccupiedBandwidth(bitrate), 200), fs/4)
 }
 
 // NewReceiver returns the paper's receiver configuration.
@@ -38,12 +56,7 @@ func NewReceiver(fs float64) (*Receiver, error) {
 	}
 	hyd := hydrophone.H2a()
 	hyd.AutoGain = true // the operator trims the input level to avoid clipping
-	return &Receiver{
-		Hydro:           hyd,
-		SampleRate:      fs,
-		FilterOrder:     4,
-		DetectThreshold: 0.55,
-	}, nil
+	return &Receiver{Hydro: hyd, SampleRate: fs}, nil
 }
 
 // FindCarriers identifies up to maxN downlink carrier frequencies in a
@@ -59,18 +72,10 @@ func (r *Receiver) FindCarriers(recording []float64, maxN int) []float64 {
 
 // Demodulate mixes the recording down by the carrier and low-pass
 // filters, returning the complex baseband whose magnitude is the
-// amplitude trace of Fig 2. The cutoff tracks the backscatter bandwidth.
+// amplitude trace of Fig 2. The cutoff tracks the backscatter bandwidth
+// (ChannelCutoff).
 func (r *Receiver) Demodulate(recording []float64, carrier, bitrate float64) ([]complex128, error) {
-	// Four times the FM0 occupied bandwidth keeps the bit transitions
-	// sharp enough for the half-bit correlators.
-	cutoff := 4 * phy.OccupiedBandwidth(bitrate)
-	if cutoff < 200 {
-		cutoff = 200
-	}
-	if cutoff > r.SampleRate/4 {
-		cutoff = r.SampleRate / 4
-	}
-	return r.DemodulateBand(recording, carrier, cutoff)
+	return r.DemodulateBand(recording, carrier, ChannelCutoff(bitrate, r.SampleRate))
 }
 
 // DemodulateBand is Demodulate with an explicit low-pass cutoff — needed
@@ -80,7 +85,7 @@ func (r *Receiver) DemodulateBand(recording []float64, carrier, cutoff float64) 
 	if cutoff > r.SampleRate/4 {
 		cutoff = r.SampleRate / 4
 	}
-	return dsp.DownconvertLP(recording, carrier, r.SampleRate, cutoff, r.FilterOrder)
+	return dsp.DownconvertLP(recording, carrier, r.SampleRate, cutoff, FilterOrder)
 }
 
 // CoherentWave projects a complex baseband stream onto its modulation
@@ -199,6 +204,18 @@ func (d *Decoded) SNRdB() float64 {
 	return 10 * math.Log10(d.SNRLinear)
 }
 
+// The receive chain is one staged pipeline that every entry point
+// composes:
+//
+//	front end: [hydrophone record] → Demodulate → gate at searchFrom → CFO
+//	lock:      FM0 at the bitrate → detectRefinedAll → candidate locks
+//	then:      decode the locks (CRC arbitration, tracked-Doppler retries)
+//	       or  measure the locks (best SNR/BER over the same candidates)
+//
+// DecodeUplink and RunQuery enter at the record, DecodeVolts at
+// Demodulate, DecodeBaseband at CFO; MeasureUplinkSNR, and RunQuery when
+// no lock passes the CRC, measure instead of decoding.
+
 // DecodeUplink runs the full uplink receive chain on a pressure-domain
 // recording: record through the hydrophone, demodulate at the carrier,
 // detect the FM0 preamble, and decode a length-prefixed data frame at
@@ -219,20 +236,42 @@ func (r *Receiver) DecodeUplink(pressure []float64, carrier, bitrate float64, se
 // profiles attribute receiver time separately from the rest of a
 // simulation job.
 func (r *Receiver) DecodeUplinkTraced(parent *telemetry.Span, pressure []float64, carrier, bitrate float64, searchFrom int) (*Decoded, error) {
+	dec, _, err := r.decodeUplink(parent, pressure, carrier, bitrate, searchFrom)
+	return dec, err
+}
+
+// decodeUplink is DecodeUplinkTraced that also returns the candidate
+// locks (nil when the chain failed before locking), so a caller can
+// measure them when no lock passes the CRC.
+func (r *Receiver) decodeUplink(parent *telemetry.Span, pressure []float64, carrier, bitrate float64, searchFrom int) (*Decoded, *locks, error) {
 	var dec *Decoded
+	var lk *locks
 	var err error
 	prof.Do(nil, func() {
-		dec, err = r.decodeUplinkStaged(parent, pressure, carrier, bitrate, searchFrom)
+		lk, err = r.acquire(parent, pressure, true, carrier, bitrate, searchFrom)
+		if err == nil {
+			dec, err = lk.decode(parent)
+		}
 	}, "stage", "decode_uplink")
-	rep := telemetry.DecodeReport{CarrierHz: carrier, BitrateBps: bitrate}
+	telemetry.RecordDecode(NewDecodeReport(carrier, bitrate, dec, err))
 	if err != nil {
 		telemetry.Inc(telemetry.MCoreUplinkDecodeFailuresTotal)
-		rep.Error = err.Error()
-		telemetry.RecordDecode(rep)
-		return nil, err
+		return nil, lk, err
 	}
 	telemetry.Inc(telemetry.MCoreUplinkDecodesTotal)
 	telemetry.ObserveN(telemetry.MCoreUplinkSnrDb, snrDBBuckets, dec.SNRdB())
+	return dec, lk, nil
+}
+
+// NewDecodeReport is the telemetry.DecodeReport of one decode attempt
+// at a carrier and bitrate: err's text when it failed, otherwise dec's
+// lock and slicer statistics (SyncIndex in dec's coordinates).
+func NewDecodeReport(carrier, bitrate float64, dec *Decoded, err error) telemetry.DecodeReport {
+	rep := telemetry.DecodeReport{CarrierHz: carrier, BitrateBps: bitrate}
+	if err != nil {
+		rep.Error = err.Error()
+		return rep
+	}
 	rep.Decoded = true
 	rep.SlicerSNRdB = dec.SNRdB()
 	rep.SyncPeak = dec.Sync.Score
@@ -240,24 +279,11 @@ func (r *Receiver) DecodeUplinkTraced(parent *telemetry.Span, pressure []float64
 	rep.CFOHz = dec.CFOHz
 	rep.PreambleBitErrors = dec.PreambleBitErrors
 	rep.PayloadBits = len(dec.Bits)
-	telemetry.RecordDecode(rep)
-	return dec, nil
+	return rep
 }
 
 // snrDBBuckets cover the paper's operating range (Fig 7: ~3–20 dB).
 var snrDBBuckets = []float64{-10, -5, 0, 2, 5, 8, 11, 15, 20, 25, 30}
-
-func (r *Receiver) decodeUplinkStaged(parent *telemetry.Span, pressure []float64, carrier, bitrate float64, searchFrom int) (*Decoded, error) {
-	spDemod := parent.Child("demod")
-	stRecord := prof.Start(prof.StageRecord)
-	volts, err := r.Hydro.Record(pressure)
-	stRecord.Stop(len(pressure))
-	if err != nil {
-		spDemod.End()
-		return nil, err
-	}
-	return r.decodeVoltsStaged(parent, spDemod, volts, carrier, bitrate, searchFrom)
-}
 
 // DecodeVolts runs the receive chain on a voltage-domain recording — the
 // signal as it leaves the hydrophone front end, before any mixing. It is
@@ -266,36 +292,11 @@ func (r *Receiver) decodeUplinkStaged(parent *telemetry.Span, pressure []float64
 // Streaming front ends that capture voltages directly (a sound card, a
 // network ingest) enter the batch chain here.
 func (r *Receiver) DecodeVolts(volts []float64, carrier, bitrate float64, searchFrom int) (*Decoded, error) {
-	return r.decodeVoltsStaged(nil, nil, volts, carrier, bitrate, searchFrom)
-}
-
-// decodeVoltsStaged is the voltage-domain chain body. spDemod, when
-// non-nil, is an already-open demod span covering the hydrophone stage;
-// when nil one is opened here. Either way it is closed before sync.
-func (r *Receiver) decodeVoltsStaged(parent, spDemod *telemetry.Span, volts []float64, carrier, bitrate float64, searchFrom int) (*Decoded, error) {
-	if spDemod == nil {
-		spDemod = parent.Child("demod")
-	}
-	bb, err := r.Demodulate(volts, carrier, bitrate)
+	lk, err := r.acquire(nil, volts, false, carrier, bitrate, searchFrom)
 	if err != nil {
-		spDemod.End()
 		return nil, err
 	}
-	if searchFrom < 0 {
-		searchFrom = 0
-	}
-	if searchFrom >= len(bb) {
-		spDemod.End()
-		return nil, fmt.Errorf("core: search start %d beyond recording %d", searchFrom, len(bb))
-	}
-	bb = bb[searchFrom:]
-	// Estimate and remove the projector/hydrophone oscillator offset
-	// (footnote 12). Multipath-skewed spectra can bias the estimator, so
-	// the correction is only kept when it measurably concentrates the
-	// carrier.
-	bb, cfo := r.correctCFOIfReal(bb)
-	spDemod.Attr("samples", len(bb)).Attr("cfo_hz", cfo).End()
-	return r.decodeBasebandStaged(parent, bb, bitrate, cfo, searchFrom)
+	return lk.decode(nil)
 }
 
 // DecodeBaseband runs the detection and decode half of the chain on
@@ -303,15 +304,90 @@ func (r *Receiver) decodeVoltsStaged(parent, spDemod *telemetry.Span, volts []fl
 // point for the block-based receiver in internal/stream, whose window is
 // already at baseband. Indices in the result are relative to bb.
 func (r *Receiver) DecodeBaseband(bb []complex128, bitrate float64) (*Decoded, error) {
-	bb2, cfo := r.correctCFOIfReal(bb)
-	return r.decodeBasebandStaged(nil, bb2, bitrate, cfo, 0)
+	bb, cfo := r.correctCFOIfReal(bb)
+	lk, err := r.lock(nil, bb, cfo, bitrate, 0)
+	if err != nil {
+		return nil, err
+	}
+	return lk.decode(nil)
 }
 
-// decodeBasebandStaged detects and decodes on an already-demodulated,
-// CFO-corrected baseband stream. indexOffset is added to the reported
-// sync indices (the batch path gates the stream at searchFrom and
-// reports indices in pre-gate coordinates).
-func (r *Receiver) decodeBasebandStaged(parent *telemetry.Span, bb []complex128, bitrate, cfo float64, indexOffset int) (*Decoded, error) {
+// MeasureUplinkSNR decodes as much as possible and returns the SNR even
+// when the CRC fails — Fig 7/8 need SNR for packets that do not decode
+// cleanly. knownBits, when non-nil, are the transmitted bits (ground
+// truth available in the controlled experiments).
+func (r *Receiver) MeasureUplinkSNR(pressure []float64, carrier, bitrate float64, knownBits []phy.Bit, searchFrom int) (snrLinear float64, ber float64, err error) {
+	lk, err := r.acquire(nil, pressure, true, carrier, bitrate, searchFrom)
+	if err != nil {
+		return 0, 1, err
+	}
+	return lk.measure(knownBits)
+}
+
+// acquire runs the front end and lock stages on a recording: pressure
+// when record is set (it goes through the hydrophone first), otherwise
+// hydrophone volts.
+func (r *Receiver) acquire(parent *telemetry.Span, recording []float64, record bool, carrier, bitrate float64, searchFrom int) (*locks, error) {
+	bb, cfo, err := r.frontEnd(parent, recording, record, carrier, bitrate, searchFrom)
+	if err != nil {
+		return nil, err
+	}
+	return r.lock(parent, bb, cfo, bitrate, searchFrom)
+}
+
+// frontEnd is the chain's first stage under one demod span: the
+// optional hydrophone record, demodulation at the carrier, the gate at
+// searchFrom, and CFO correction. It returns the gated baseband and the
+// applied CFO.
+func (r *Receiver) frontEnd(parent *telemetry.Span, recording []float64, record bool, carrier, bitrate float64, searchFrom int) ([]complex128, float64, error) {
+	sp := parent.Child("demod")
+	defer sp.End()
+	volts := recording
+	if record {
+		st := prof.Start(prof.StageRecord)
+		v, err := r.Hydro.Record(recording)
+		st.Stop(len(recording))
+		if err != nil {
+			return nil, 0, err
+		}
+		volts = v
+	}
+	bb, err := r.Demodulate(volts, carrier, bitrate)
+	if err != nil {
+		return nil, 0, err
+	}
+	searchFrom = max(searchFrom, 0)
+	if searchFrom >= len(bb) {
+		return nil, 0, fmt.Errorf("core: search start %d beyond recording %d", searchFrom, len(bb))
+	}
+	// Estimate and remove the projector/hydrophone oscillator offset
+	// (footnote 12). Multipath-skewed spectra can bias the estimator, so
+	// the correction is only kept when it measurably concentrates the
+	// carrier.
+	bb, cfo := r.correctCFOIfReal(bb[searchFrom:])
+	sp.Attr("samples", len(bb)).Attr("cfo_hz", cfo)
+	return bb, cfo, nil
+}
+
+// locks is the lock stage's result: the candidate packet locks on a
+// demodulated, CFO-corrected baseband stream, and one projection buffer
+// that holds the stream on one candidate's axis at a time.
+type locks struct {
+	bb    []complex128
+	cfo   float64
+	fm0   *phy.FM0
+	cands []refinedLock
+	// wave is bb projected onto cands[onAxis].axis.
+	wave   []float64
+	onAxis int
+	// offset is added to reported sync indices: the front end gates the
+	// stream at searchFrom, results are in pre-gate coordinates.
+	offset int
+}
+
+// lock is the chain's second stage: the FM0 model at the bitrate and
+// every refined candidate lock under one sync span.
+func (r *Receiver) lock(parent *telemetry.Span, bb []complex128, cfo, bitrate float64, offset int) (*locks, error) {
 	spb, err := phy.SamplesPerBitFor(r.SampleRate, bitrate)
 	if err != nil {
 		return nil, err
@@ -320,63 +396,110 @@ func (r *Receiver) decodeBasebandStaged(parent *telemetry.Span, bb []complex128,
 	if err != nil {
 		return nil, err
 	}
-	spSync := parent.Child("sync")
-	cands, wave, err := r.detectRefinedAll(bb, fm0)
+	sp := parent.Child("sync")
+	defer sp.End()
+	cands, wave, err := detectRefinedAll(bb, fm0)
 	if err != nil {
-		spSync.End()
 		return nil, err
 	}
-	spSync.Attr("candidates", len(cands)).End()
+	sp.Attr("candidates", len(cands))
+	return &locks{bb: bb, cfo: cfo, fm0: fm0, cands: cands, wave: wave, offset: offset}, nil
+}
 
-	spDecode := parent.Child("decode")
-	defer spDecode.End()
-	stDecode := prof.Start(prof.StageDecode)
-	defer stDecode.Stop(len(bb))
-	// Try candidates in score order; the CRC arbitrates which lock is
-	// the real packet (payload structure can out-correlate the preamble
-	// under heavy ISI).
+// waveFor returns the stream projected onto candidate i's axis,
+// re-projecting the shared buffer only when it holds another
+// candidate's.
+func (l *locks) waveFor(i int) []float64 {
+	if i != l.onAxis {
+		projectAxisInto(l.wave, l.bb, l.cands[i].axis)
+		l.onAxis = i
+	}
+	return l.wave
+}
+
+// decode is the chain's decode stage: it tries the candidate locks in
+// score order and returns the first that passes the CRC, with its
+// indices in pre-gate coordinates.
+func (l *locks) decode(parent *telemetry.Span) (*Decoded, error) {
+	sp := parent.Child("decode")
+	defer sp.End()
+	st := prof.Start(prof.StageDecode)
+	defer st.Stop(len(l.bb))
+	dec, err := l.decodeAny()
+	if err != nil {
+		return nil, err
+	}
+	dec.Sync.Index += l.offset
+	dec.Sync.PayloadIndex += l.offset
+	dec.CFOHz = l.cfo
+	return dec, nil
+}
+
+// decodeAny returns the first decode that passes the CRC, in gated
+// coordinates.
+func (l *locks) decodeAny() (*Decoded, error) {
+	// The CRC arbitrates which lock is the real packet (payload structure
+	// can out-correlate the preamble under heavy ISI).
 	var firstErr error
-	for i, c := range cands {
-		if i > 0 {
-			projectAxisInto(wave, bb, c.axis)
+	for i, c := range l.cands {
+		dec, err := decodeAt(l.bb, l.waveFor(i), c.sync, l.fm0)
+		if err == nil {
+			return dec, nil
 		}
-		dec, err := r.decodeAt(bb, wave, c.sync, fm0)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+		if firstErr == nil {
+			firstErr = err
 		}
-		dec.Sync.Index += indexOffset
-		dec.Sync.PayloadIndex += indexOffset
-		dec.CFOHz = cfo
-		return dec, nil
 	}
 	// Last resort: a Doppler-rotating channel (moving node) smears every
 	// fixed-axis projection; retry on block-tracked projections, finer
 	// blocks tolerating faster rotation at the cost of noisier per-block
 	// axis estimates.
-	preLen := len(phy.PreambleBits) * spb
+	preLen := len(phy.PreambleBits) * l.fm0.SamplesPerBit
 	for _, block := range []int{preLen, preLen / 2, preLen / 4} {
-		tracked := CoherentWaveTracked(bb, block)
-		sync, err := phy.DetectPacket(tracked, fm0, r.DetectThreshold)
+		tracked := CoherentWaveTracked(l.bb, block)
+		sync, err := phy.DetectPacket(tracked, l.fm0, detectThreshold)
 		if err != nil {
 			continue
 		}
-		dec, err := r.decodeAt(bb, tracked, sync, fm0)
-		if err != nil {
-			continue
+		if dec, err := decodeAt(l.bb, tracked, sync, l.fm0); err == nil {
+			return dec, nil
 		}
-		dec.Sync.Index += indexOffset
-		dec.Sync.PayloadIndex += indexOffset
-		dec.CFOHz = cfo
-		return dec, nil
 	}
 	return nil, firstErr
 }
 
+// measure evaluates every candidate lock and keeps the one with the
+// highest measured SNR — the same arbitration decode gets from the CRC,
+// available here even when the packet is too corrupted to pass. BER is
+// against knownBits (0 when nil).
+func (l *locks) measure(knownBits []phy.Bit) (snrLinear, ber float64, err error) {
+	best := -1.0
+	bestBER := 1.0
+	for i, c := range l.cands {
+		wave := l.waveFor(i)
+		n := len(knownBits)
+		if n == 0 {
+			n = (len(wave) - c.sync.Index) / l.fm0.SamplesPerBit
+		}
+		got, _ := l.fm0.DecodeFrom(wave[c.sync.Index:], n, c.sync.StartLevel)
+		snr := phy.MeasureSNR(wave[c.sync.Index:], got, l.fm0)
+		if snr > best {
+			best = snr
+			if knownBits != nil {
+				bestBER = phy.BER(knownBits, got)
+			} else {
+				bestBER = 0
+			}
+		}
+	}
+	if best < 0 {
+		return 0, 1, fmt.Errorf("core: no usable candidate lock")
+	}
+	return best, bestBER, nil
+}
+
 // decodeAt decodes a length-prefixed data frame at a detected lock.
-func (r *Receiver) decodeAt(bb []complex128, env []float64, sync phy.Sync, fm0 *phy.FM0) (*Decoded, error) {
+func decodeAt(bb []complex128, env []float64, sync phy.Sync, fm0 *phy.FM0) (*Decoded, error) {
 	// Decode the header first to learn the payload length, then the
 	// whole frame.
 	headerBits, _ := fm0.DecodeFrom(env[sync.PayloadIndex:], 24, sync.PayloadLevel)
@@ -469,69 +592,6 @@ func (r *Receiver) decodeAt(bb []complex128, env []float64, sync phy.Sync, fm0 *
 	}, nil
 }
 
-// MeasureUplinkSNR decodes as much as possible and returns the SNR even
-// when the CRC fails — Fig 7/8 need SNR for packets that do not decode
-// cleanly. knownBits, when non-nil, are the transmitted bits (ground
-// truth available in the controlled experiments).
-func (r *Receiver) MeasureUplinkSNR(pressure []float64, carrier, bitrate float64, knownBits []phy.Bit, searchFrom int) (snrLinear float64, ber float64, err error) {
-	volts, err := r.Hydro.Record(pressure)
-	if err != nil {
-		return 0, 1, err
-	}
-	bb, err := r.Demodulate(volts, carrier, bitrate)
-	if err != nil {
-		return 0, 1, err
-	}
-	if searchFrom < 0 {
-		searchFrom = 0
-	}
-	if searchFrom >= len(bb) {
-		return 0, 1, fmt.Errorf("core: search start %d beyond recording %d", searchFrom, len(bb))
-	}
-	bb = bb[searchFrom:]
-	bb, _ = r.correctCFOIfReal(bb)
-	spb, err := phy.SamplesPerBitFor(r.SampleRate, bitrate)
-	if err != nil {
-		return 0, 1, err
-	}
-	fm0, err := phy.NewFM0(spb)
-	if err != nil {
-		return 0, 1, err
-	}
-	cands, wave, err := r.detectRefinedAll(bb, fm0)
-	if err != nil {
-		return 0, 1, err
-	}
-	// Evaluate every candidate lock and keep the one with the highest
-	// measured SNR — the same arbitration DecodeUplink gets from the
-	// CRC, available here even when the packet is too corrupted to pass.
-	best := -1.0
-	bestBER := 1.0
-	for i, c := range cands {
-		if i > 0 {
-			projectAxisInto(wave, bb, c.axis)
-		}
-		n := len(knownBits)
-		if n == 0 {
-			n = (len(wave) - c.sync.Index) / spb
-		}
-		got, _ := fm0.DecodeFrom(wave[c.sync.Index:], n, c.sync.StartLevel)
-		snr := phy.MeasureSNR(wave[c.sync.Index:], got, fm0)
-		if snr > best {
-			best = snr
-			if knownBits != nil {
-				bestBER = phy.BER(knownBits, got)
-			} else {
-				bestBER = 0
-			}
-		}
-	}
-	if best < 0 {
-		return 0, 1, fmt.Errorf("core: no usable candidate lock")
-	}
-	return best, bestBER, nil
-}
-
 // refinedLock is one candidate packet lock: the modulation axis
 // re-estimated over the candidate's preamble, and the lock found on the
 // stream's projection onto it.
@@ -553,7 +613,7 @@ type refinedLock struct {
 // Every projection is scored from one complex correlation of the
 // stream (phy.Correlator), so the whole search costs one correlation,
 // and only the best lock is projected here.
-func (r *Receiver) detectRefinedAll(bb []complex128, fm0 *phy.FM0) ([]refinedLock, []float64, error) {
+func detectRefinedAll(bb []complex128, fm0 *phy.FM0) ([]refinedLock, []float64, error) {
 	st := prof.Start(prof.StageSync)
 	defer st.Stop(len(bb))
 	// The global second-moment axis can sit arbitrarily far from the
@@ -566,14 +626,10 @@ func (r *Receiver) detectRefinedAll(bb []complex128, fm0 *phy.FM0) ([]refinedLoc
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: no preamble candidates on either projection")
 	}
-	firstThresh := r.DetectThreshold / 2
-	if firstThresh > 0.3 {
-		firstThresh = 0.3
-	}
 	preambleLen := len(phy.PreambleBits) * fm0.SamplesPerBit
 	cands := make([]phy.Sync, 0, 16) // two projections × maxK=8 below
 	for _, rot := range [...]complex128{axis.rot, axis.rot * complex(0, 1)} {
-		cs, err := corr.Candidates(rot, 0, len(bb), firstThresh, 8, preambleLen)
+		cs, err := corr.Candidates(rot, 0, len(bb), CoarseThreshold, 8, preambleLen)
 		if err != nil {
 			continue
 		}
@@ -591,7 +647,7 @@ func (r *Receiver) detectRefinedAll(bb []complex128, fm0 *phy.FM0) ([]refinedLoc
 		// candidate set before the CRC can arbitrate.
 		lo := max(cand.Index-fm0.SamplesPerBit, 0)
 		hi := min(cand.Index+fm0.SamplesPerBit+preambleLen, len(bb))
-		syncs, err := corr.Candidates(a.rot, lo, hi, r.DetectThreshold, 1, 0)
+		syncs, err := corr.Candidates(a.rot, lo, hi, detectThreshold, 1, 0)
 		if err != nil {
 			continue
 		}
@@ -624,18 +680,6 @@ func abs(x int) int {
 		return -x
 	}
 	return x
-}
-
-// CoherentWaveAround projects bb using the axis estimated over
-// [start, end) — a debugging/analysis helper.
-func CoherentWaveAround(bb []complex128, start, end int) []float64 {
-	if start < 0 {
-		start = 0
-	}
-	if end > len(bb) {
-		end = len(bb)
-	}
-	return projectAxis(bb, estimateAxis(bb[start:end]))
 }
 
 // correctCFOIfReal estimates the carrier frequency offset and applies
