@@ -48,9 +48,10 @@ import (
 // per-decode path (or is called per candidate inside it).
 var hotFuncs = map[string][]string{
 	"pab/internal/dsp": {
-		"Downconvert", "DownconvertLP", "Envelope",
+		"Downconvert", "downconvertFrom", "DownconvertLP", "Envelope",
 		"CrossCorrelate", "NormalizedCrossCorrelate",
-		"(*IIR).Filter", "(*IIR).FiltFilt", "Decimate", "DecimateComplex",
+		"(*IIR).Filter", "(*IIR).FiltFilt", "(*IIR).filtFilt", "(*IIR).filtFiltIQ", "(*IIR).Settle",
+		"Decimate", "DecimateComplex",
 		"fftRadix2", "twiddlesFor", "releaseTwiddles", "twiddle", "radix2Stage", "radix4Stages",
 		"OverlapSaveBlock", "(*OverlapSave).Correlate",
 	},

@@ -156,6 +156,7 @@ func run(out, check string, runs, warmup int, bitrate, maxRegress, floorMS, maxA
 		ChainP50MS:       percentileSorted(durs, 50) * 1e3,
 		ChainP99MS:       percentileSorted(durs, 99) * 1e3,
 		Stages:           stages,
+		Env:              prof.CurrentEnv(),
 	}
 	if wall > 0 {
 		rep.OpsPerSec = float64(runs) / wall
@@ -200,6 +201,8 @@ func run(out, check string, runs, warmup int, bitrate, maxRegress, floorMS, maxA
 func printSummary(rep prof.BenchReport) {
 	fmt.Printf("decode chain: %d/%d runs decoded, %.1f ops/sec, p50 %.3f ms, p99 %.3f ms\n",
 		rep.Decoded, rep.Runs, rep.OpsPerSec, rep.ChainP50MS, rep.ChainP99MS)
+	fmt.Printf("env: GOMAXPROCS %d, nproc %d, %s, %s\n",
+		rep.Env.GOMAXPROCS, rep.Env.NumCPU, rep.Env.CPUModel, rep.Env.GoVersion)
 	fmt.Printf("%-12s %6s %9s %10s %10s %10s %12s %12s\n",
 		"stage", "count", "calls/op", "ms/op", "p50 ms", "p99 ms", "samples/s", "B/call")
 	for _, st := range prof.Stages {

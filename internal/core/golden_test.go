@@ -8,12 +8,15 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"pab/internal/channel"
+	"pab/internal/dsp"
 	"pab/internal/frame"
 	"pab/internal/phy"
+	"pab/internal/prof"
 	"pab/internal/sensors"
 	"pab/internal/telemetry"
 )
@@ -76,17 +79,21 @@ const goldenReps = 2
 // outcome on each.
 func goldenCorpus(t *testing.T) []goldenExchange {
 	t.Helper()
-	n := goldenReps * len(goldenNoisePa) * len(goldenBitrates) * len(goldenPools)
-	out := make([]goldenExchange, 0, n)
-	for i := range n {
-		out = append(out, goldenCase(t, i))
+	out := make([]goldenExchange, 0, goldenSize)
+	for i := range goldenSize {
+		g, _ := goldenCase(t, i)
+		out = append(out, g)
 	}
 	return out
 }
 
-// goldenCase runs the corpus's i-th exchange. The pool varies fastest,
-// then the bitrate, the noise level and the repetition.
-func goldenCase(t *testing.T, i int) goldenExchange {
+// goldenSize is the number of exchanges in the corpus.
+var goldenSize = goldenReps * len(goldenNoisePa) * len(goldenBitrates) * len(goldenPools)
+
+// goldenCase runs the corpus's i-th exchange and returns it with the
+// exchange's result. The pool varies fastest, then the bitrate, the
+// noise level and the repetition.
+func goldenCase(t testing.TB, i int) (goldenExchange, *ExchangeResult) {
 	t.Helper()
 	pool := goldenPools[i%len(goldenPools)]
 	j := i / len(goldenPools)
@@ -100,7 +107,7 @@ func goldenCase(t *testing.T, i int) goldenExchange {
 
 // goldenRun draws node positions until the node powers up and answers
 // the query, then decodes that exchange's recording.
-func goldenRun(t *testing.T, rng *rand.Rand, pool string, tank channel.Tank, box [2]channel.Vec3, bitrate, noise float64, readSensor bool) goldenExchange {
+func goldenRun(t testing.TB, rng *rand.Rand, pool string, tank channel.Tank, box [2]channel.Vec3, bitrate, noise float64, readSensor bool) (goldenExchange, *ExchangeResult) {
 	t.Helper()
 	q := frame.Query{Dest: 0x01, Command: frame.CmdPing}
 	if readSensor {
@@ -162,14 +169,14 @@ func goldenRun(t *testing.T, rng *rand.Rand, pool string, tank channel.Tank, box
 					name, res.Decoded.SNRLinear, res.UplinkBER, snr, ber)
 			}
 		}
-		return g
+		return g, res
 	}
 	t.Fatalf("%s %g bit/s %g Pa: no powered, answering node position", pool, bitrate, noise)
-	return goldenExchange{}
+	return goldenExchange{}, nil
 }
 
 // goldenLink builds a fresh paper node, projector and link on cfg.
-func goldenLink(t *testing.T, cfg LinkConfig, bitrate float64) *Link {
+func goldenLink(t testing.TB, cfg LinkConfig, bitrate float64) *Link {
 	t.Helper()
 	n, err := NewPaperNode(0x01, bitrate, sensors.RoomTank())
 	if err != nil {
@@ -286,11 +293,10 @@ func formatG(v float64) string {
 	return string(b)
 }
 
-// TestDecodeRunsOneSyncStage pins the sync stage's shape: a decode that
-// locks on its first candidate runs one preamble correlation (one sync
-// stage call), however many projections and refinement windows it
-// scores.
-func TestDecodeRunsOneSyncStage(t *testing.T) {
+// pingExchange runs one powered 500 bit/s ping exchange in the room
+// tank and returns its link, configuration and result.
+func pingExchange(t *testing.T) (*Link, LinkConfig, *ExchangeResult) {
+	t.Helper()
 	cfg := DefaultLinkConfig()
 	n, err := NewPaperNode(0x01, 500, sensors.RoomTank())
 	if err != nil {
@@ -311,6 +317,49 @@ func TestDecodeRunsOneSyncStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return link, cfg, res
+}
+
+// BenchmarkDecodeUplinkGolden times DecodeUplink over the golden
+// corpus's recordings: both pools, the four clock-grid bitrates and
+// three noise levels, near-threshold failures included. One op decodes
+// every recording; synthesis runs before the timer.
+func BenchmarkDecodeUplinkGolden(b *testing.B) {
+	type recording struct {
+		pressure         []float64
+		carrier, bitrate float64
+		gate             int
+	}
+	recs := make([]recording, 0, goldenSize)
+	for i := range goldenSize {
+		g, res := goldenCase(b, i)
+		recs = append(recs, recording{res.Recording, g.cfg.CarrierHz, g.BitrateBps, res.DecodeGate})
+	}
+	recv, err := NewReceiver(DefaultLinkConfig().SampleRate)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for range b.N {
+		for _, r := range recs {
+			_, _ = recv.DecodeUplink(r.pressure, r.carrier, r.bitrate, r.gate) // near-threshold exchanges fail by design
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	decodes := float64(b.N * len(recs))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/decodes, "ms/decode")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/decodes, "B/decode")
+}
+
+// TestDecodeRunsOneSyncStage pins the sync stage's shape: a decode that
+// locks on its first candidate runs one preamble correlation (one sync
+// stage call), however many projections and refinement windows it
+// scores.
+func TestDecodeRunsOneSyncStage(t *testing.T) {
+	link, cfg, res := pingExchange(t)
 	was := telemetry.Enabled()
 	telemetry.SetEnabled(true)
 	defer telemetry.SetEnabled(was)
@@ -318,11 +367,52 @@ func TestDecodeRunsOneSyncStage(t *testing.T) {
 		return telemetry.Default().Snapshot().Histograms[string(telemetry.MProfStageSyncSeconds)].Count
 	}
 	before := syncCalls()
-	if _, err := link.Receiver().DecodeUplink(res.Recording, cfg.CarrierHz, n.Bitrate(), res.DecodeGate); err != nil {
+	if _, err := link.Receiver().DecodeUplink(res.Recording, cfg.CarrierHz, link.Node().Bitrate(), res.DecodeGate); err != nil {
 		t.Fatal(err)
 	}
 	if calls := syncCalls() - before; calls != 1 {
 		t.Fatalf("decode ran %d sync stage calls, want 1", calls)
+	}
+}
+
+// TestDecodeDemodulatesGatedSpan pins the front end's work: a decode
+// gated past the reader's query mixes and filters the gated span and
+// the channel filter's settle history, not the whole recording.
+func TestDecodeDemodulatesGatedSpan(t *testing.T) {
+	link, cfg, res := pingExchange(t)
+	bitrate := link.Node().Bitrate()
+	lp, err := dsp.DesignButterworthLowpass(ChannelCutoff(bitrate, cfg.SampleRate), cfg.SampleRate, FilterOrder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := len(res.Recording) - max(res.DecodeGate-lp.Settle(), 0)
+	if want == len(res.Recording) {
+		t.Fatalf("gate %d within the filter's settle history %d; the exchange pins nothing", res.DecodeGate, lp.Settle())
+	}
+
+	was := telemetry.Enabled()
+	telemetry.SetEnabled(true)
+	defer telemetry.SetEnabled(was)
+	lastID := uint64(0)
+	for _, sp := range telemetry.Default().Snapshot().Spans {
+		lastID = max(lastID, sp.ID)
+	}
+	if _, err := link.Receiver().DecodeUplink(res.Recording, cfg.CarrierHz, bitrate, res.DecodeGate); err != nil {
+		t.Fatal(err)
+	}
+	var fresh []telemetry.SpanRecord
+	for _, sp := range telemetry.Default().Snapshot().Spans {
+		if sp.ID > lastID {
+			fresh = append(fresh, sp)
+		}
+	}
+	stages := prof.CollectStageStats(fresh)
+	for _, st := range []prof.Stage{prof.StageDownconvert, prof.StageFilter} {
+		got := stages[st.Key]
+		if got.Count != 1 || got.TotalSamples != int64(want) {
+			t.Errorf("%s: %d calls over %d samples, want 1 over %d (recording %d, gate %d, settle %d)",
+				st.Key, got.Count, got.TotalSamples, want, len(res.Recording), res.DecodeGate, lp.Settle())
+		}
 	}
 }
 
@@ -350,7 +440,7 @@ func TestFailedQueryRunsOneFrontEnd(t *testing.T) {
 	if idx < 0 {
 		t.Fatal("golden corpus has no measured-but-undecoded 200 Pa exchange")
 	}
-	g := goldenCase(t, idx)
+	g, _ := goldenCase(t, idx)
 	if g.OK || !g.MeasureOK {
 		t.Fatalf("exchange %d: decode ok=%v measure ok=%v, want a measured failure", idx, g.OK, g.MeasureOK)
 	}

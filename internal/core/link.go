@@ -492,7 +492,7 @@ func (l *Link) RunTrace(total, txStart, bsStart, toggleHz float64) (*Trace, erro
 	if err != nil {
 		return nil, err
 	}
-	bb, err := dsp.DownconvertLP(volts, l.cfg.CarrierHz, fs, 4*toggleHz+50, 4)
+	bb, err := dsp.DownconvertLP(volts, 0, l.cfg.CarrierHz, fs, 4*toggleHz+50, 4)
 	if err != nil {
 		return nil, err
 	}

@@ -85,7 +85,7 @@ func (r *Receiver) DemodulateBand(recording []float64, carrier, cutoff float64) 
 	if cutoff > r.SampleRate/4 {
 		cutoff = r.SampleRate / 4
 	}
-	return dsp.DownconvertLP(recording, carrier, r.SampleRate, cutoff, FilterOrder)
+	return dsp.DownconvertLP(recording, 0, carrier, r.SampleRate, cutoff, FilterOrder)
 }
 
 // CoherentWave projects a complex baseband stream onto its modulation
@@ -207,13 +207,14 @@ func (d *Decoded) SNRdB() float64 {
 // The receive chain is one staged pipeline that every entry point
 // composes:
 //
-//	front end: [hydrophone record] → Demodulate → gate at searchFrom → CFO
+//	front end: [hydrophone record] → gate at searchFrom → mix and filter
+//	           from the gate less the filter's settle history → CFO
 //	lock:      FM0 at the bitrate → detectRefinedAll → candidate locks
 //	then:      decode the locks (CRC arbitration, tracked-Doppler retries)
 //	       or  measure the locks (best SNR/BER over the same candidates)
 //
-// DecodeUplink and RunQuery enter at the record, DecodeVolts at
-// Demodulate, DecodeBaseband at CFO; MeasureUplinkSNR, and RunQuery when
+// DecodeUplink and RunQuery enter at the record, DecodeVolts at the
+// gate, DecodeBaseband at CFO; MeasureUplinkSNR, and RunQuery when
 // no lock passes the CRC, measure instead of decoding.
 
 // DecodeUplink runs the full uplink receive chain on a pressure-domain
@@ -336,9 +337,9 @@ func (r *Receiver) acquire(parent *telemetry.Span, recording []float64, record b
 }
 
 // frontEnd is the chain's first stage under one demod span: the
-// optional hydrophone record, demodulation at the carrier, the gate at
-// searchFrom, and CFO correction. It returns the gated baseband and the
-// applied CFO.
+// optional hydrophone record, the gate at searchFrom, demodulation of
+// the gated span at the carrier, and CFO correction. It returns the
+// gated baseband and the applied CFO.
 func (r *Receiver) frontEnd(parent *telemetry.Span, recording []float64, record bool, carrier, bitrate float64, searchFrom int) ([]complex128, float64, error) {
 	sp := parent.Child("demod")
 	defer sp.End()
@@ -352,19 +353,21 @@ func (r *Receiver) frontEnd(parent *telemetry.Span, recording []float64, record 
 		}
 		volts = v
 	}
-	bb, err := r.Demodulate(volts, carrier, bitrate)
+	searchFrom = max(searchFrom, 0)
+	if searchFrom >= len(volts) {
+		return nil, 0, fmt.Errorf("core: search start %d beyond recording %d", searchFrom, len(volts))
+	}
+	// Demodulate only the gated span (plus the filter's settling
+	// history): nothing before searchFrom reaches the decoder.
+	bb, err := dsp.DownconvertLP(volts, searchFrom, carrier, r.SampleRate, ChannelCutoff(bitrate, r.SampleRate), FilterOrder)
 	if err != nil {
 		return nil, 0, err
-	}
-	searchFrom = max(searchFrom, 0)
-	if searchFrom >= len(bb) {
-		return nil, 0, fmt.Errorf("core: search start %d beyond recording %d", searchFrom, len(bb))
 	}
 	// Estimate and remove the projector/hydrophone oscillator offset
 	// (footnote 12). Multipath-skewed spectra can bias the estimator, so
 	// the correction is only kept when it measurably concentrates the
 	// carrier.
-	bb, cfo := r.correctCFOIfReal(bb[searchFrom:])
+	bb, cfo := r.correctCFOIfReal(bb)
 	sp.Attr("samples", len(bb)).Attr("cfo_hz", cfo)
 	return bb, cfo, nil
 }

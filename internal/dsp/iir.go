@@ -54,18 +54,96 @@ func (f *IIR) Filter(x []float64) []float64 {
 
 // FiltFilt runs the filter forward and then backward over x, yielding
 // zero-phase filtering with squared magnitude response. This mirrors the
-// offline MATLAB decoding the paper's receiver used.
+// offline MATLAB decoding the paper's receiver used. x is not modified.
 func (f *IIR) FiltFilt(x []float64) []float64 {
-	fwd := f.Filter(x)
-	// Reverse, filter, reverse.
-	for i, j := 0, len(fwd)-1; i < j; i, j = i+1, j-1 {
-		fwd[i], fwd[j] = fwd[j], fwd[i]
+	out := make([]float64, len(x))
+	copy(out, x)
+	f.filtFilt(out)
+	return out
+}
+
+// filtFilt is FiltFilt in place: one forward and one backward pass,
+// each running every section per sample. Each section consumes its
+// samples in the same order as section-by-section filtering, so the
+// result is bit-identical to Filter, reverse, Filter, reverse.
+func (f *IIR) filtFilt(x []float64) {
+	z := make([][2]float64, len(f.sections))
+	for i, v := range x {
+		for s := range f.sections {
+			v = f.sections[s].process(v, &z[s])
+		}
+		x[i] = v
 	}
-	bwd := f.Filter(fwd)
-	for i, j := 0, len(bwd)-1; i < j; i, j = i+1, j-1 {
-		bwd[i], bwd[j] = bwd[j], bwd[i]
+	clear(z)
+	for i := len(x) - 1; i >= 0; i-- {
+		v := x[i]
+		for s := range f.sections {
+			v = f.sections[s].process(v, &z[s])
+		}
+		x[i] = v
 	}
-	return bwd
+}
+
+// filtFiltIQ is filtFilt over I and Q together: a complex signal
+// filtered in place with the real cascade, both rails in one forward
+// and one backward pass.
+func (f *IIR) filtFiltIQ(x []complex128) {
+	z := make([][2][2]float64, len(f.sections)) // per section: I, Q state
+	for i, v := range x {
+		re, im := real(v), imag(v)
+		for s := range f.sections {
+			q := &f.sections[s]
+			re = q.process(re, &z[s][0])
+			im = q.process(im, &z[s][1])
+		}
+		x[i] = complex(re, im)
+	}
+	clear(z)
+	for i := len(x) - 1; i >= 0; i-- {
+		re, im := real(x[i]), imag(x[i])
+		for s := range f.sections {
+			q := &f.sections[s]
+			re = q.process(re, &z[s][0])
+			im = q.process(im, &z[s][1])
+		}
+		x[i] = complex(re, im)
+	}
+}
+
+// settleFactor scales the impulse-decay length into Settle's history:
+// a forward pass started one decay length early still leaves some
+// kept samples a few ulps off the whole-signal filter at channel
+// cutoffs.
+const settleFactor = 2
+
+// Settle returns the forward-pass history a zero-phase pass needs
+// before the first sample it keeps: settleFactor times the samples the
+// cascade's impulse response takes to decay below 2⁻⁶⁴ of its peak
+// (its state, and so all its future output, below that level). A
+// filter that does not decay within maxSettle samples reports
+// maxSettle.
+func (f *IIR) Settle() int {
+	const maxSettle = 1 << 24
+	z := make([][2]float64, len(f.sections))
+	peak := 0.0
+	for n := 0; n < maxSettle; n++ {
+		v := 0.0
+		if n == 0 {
+			v = 1
+		}
+		for s := range f.sections {
+			v = f.sections[s].process(v, &z[s])
+		}
+		peak = max(peak, math.Abs(v))
+		state := 0.0
+		for _, zs := range z {
+			state += math.Abs(zs[0]) + math.Abs(zs[1])
+		}
+		if state < 0x1p-64*peak {
+			return settleFactor * (n + 1)
+		}
+	}
+	return maxSettle
 }
 
 // Response returns the complex frequency response of the cascade at

@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
 
 	"pab/internal/prof"
@@ -57,44 +58,51 @@ func Sine(amplitude, f, fs, phase float64, n int) []float64 {
 // still contains the 2·fc image; low-pass filter it (see DownconvertLP) to
 // complete the demodulation.
 func Downconvert(x []float64, fc, fs float64) []complex128 {
-	out := make([]complex128, len(x))
+	return downconvertFrom(x, 0, fc, fs)
+}
+
+// downconvertFrom is Downconvert of x[lo:] with the mixer phase kept in
+// absolute sample index, so out[i] is x[lo+i]·e^{-jω(lo+i)}.
+func downconvertFrom(x []float64, lo int, fc, fs float64) []complex128 {
+	out := make([]complex128, len(x)-lo)
 	w := 2 * math.Pi * fc / fs
-	for i, v := range x {
-		ph := w * float64(i)
+	for i, v := range x[lo:] {
 		// e^{-jωt}·x(t)
-		out[i] = complex(v*math.Cos(ph), -v*math.Sin(ph))
+		s, c := math.Sincos(w * float64(lo+i))
+		out[i] = complex(v*c, -v*s)
 	}
 	return out
 }
 
 // DownconvertLP mixes x down by fc and low-pass filters I and Q with an
 // order-`order` Butterworth at the given cutoff, returning the complex
-// baseband envelope. This is the paper's demodulation step ("demodulate by
-// removing the carrier frequency", §3.2): the magnitude of the result is
-// the amplitude trace plotted in Fig 2.
-func DownconvertLP(x []float64, fc, fs, cutoff float64, order int) ([]complex128, error) {
+// baseband envelope of x[from:]. This is the paper's demodulation step
+// ("demodulate by removing the carrier frequency", §3.2): the magnitude
+// of the result is the amplitude trace plotted in Fig 2.
+//
+// The filter is zero-phase (forward then backward), and only the span
+// the caller keeps is worked: the backward pass over [from:] reads only
+// samples at or after from, and the forward pass needs only the
+// cascade's Settle samples of history before from. So x[:from−Settle]
+// is neither mixed nor filtered, and the result equals the whole-signal
+// filter's output over [from:] (bit for bit at channel cutoffs, to
+// within the low-cutoff cascade's rounding floor otherwise).
+func DownconvertLP(x []float64, from int, fc, fs, cutoff float64, order int) ([]complex128, error) {
+	if from < 0 || from > len(x) {
+		return nil, fmt.Errorf("dsp: downconvert start %d outside [0, %d]", from, len(x))
+	}
 	lp, err := DesignButterworthLowpass(cutoff, fs, order)
 	if err != nil {
 		return nil, err
 	}
+	lo := max(from-lp.Settle(), 0)
 	st := prof.Start(prof.StageDownconvert)
-	mixed := Downconvert(x, fc, fs)
-	st.Stop(len(x))
+	bb := downconvertFrom(x, lo, fc, fs)
+	st.Stop(len(bb))
 	st = prof.Start(prof.StageFilter)
-	re := make([]float64, len(mixed))
-	im := make([]float64, len(mixed))
-	for i, c := range mixed {
-		re[i] = real(c)
-		im[i] = imag(c)
-	}
-	re = lp.FiltFilt(re)
-	im = lp.FiltFilt(im)
-	out := make([]complex128, len(mixed))
-	for i := range out {
-		out[i] = complex(re[i], im[i])
-	}
-	st.Stop(len(mixed))
-	return out, nil
+	lp.filtFiltIQ(bb)
+	st.Stop(len(bb))
+	return bb[from-lo:], nil
 }
 
 // Envelope returns |x| of a complex baseband signal.
@@ -116,11 +124,11 @@ func AmplitudeEnvelope(x []float64, fs, cutoff float64, order int) ([]float64, e
 	if err != nil {
 		return nil, err
 	}
-	rect := make([]float64, len(x))
+	env := make([]float64, len(x))
 	for i, v := range x {
-		rect[i] = math.Abs(v)
+		env[i] = math.Abs(v)
 	}
-	env := lp.FiltFilt(rect)
+	lp.filtFilt(env)
 	// Mean of |sin| is 2/π of the peak; rescale to peak amplitude.
 	scale := math.Pi / 2
 	for i := range env {

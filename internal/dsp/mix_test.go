@@ -2,6 +2,9 @@ package dsp
 
 import (
 	"math"
+	"math/cmplx"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -44,7 +47,7 @@ func TestDownconvertRecoversEnvelope(t *testing.T) {
 		}
 		x[i] = amp * math.Sin(w*float64(i))
 	}
-	bb, err := DownconvertLP(x, fc, fs, 2000, 4)
+	bb, err := DownconvertLP(x, 0, fc, fs, 2000, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +68,7 @@ func TestDownconvertRejectsOtherCarrier(t *testing.T) {
 	fs := 96000.0
 	n := 19200
 	x := Sine(1, 18000, fs, 0, n)
-	bb, err := DownconvertLP(x, 15000, fs, 1000, 4)
+	bb, err := DownconvertLP(x, 0, 15000, fs, 1000, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,5 +224,124 @@ func TestStatsHelpers(t *testing.T) {
 	Add(dst, []float64{1, 2})
 	if dst[0] != 2 || dst[1] != 3 || dst[2] != 1 {
 		t.Error("Add wrong")
+	}
+}
+
+// referenceDownconvertLP is the whole-signal front end DownconvertLP
+// replaces: mix every sample with separate Cos and Sin, split I and Q,
+// zero-phase filter each rail section by section through reversed
+// copies, recombine, and only then keep [from:].
+func referenceDownconvertLP(t *testing.T, x []float64, from int, fc, fs, cutoff float64, order int) []complex128 {
+	t.Helper()
+	lp, err := DesignButterworthLowpass(cutoff, fs, order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := 2 * math.Pi * fc / fs
+	re := make([]float64, len(x))
+	im := make([]float64, len(x))
+	for i, v := range x {
+		ph := w * float64(i)
+		re[i], im[i] = v*math.Cos(ph), -v*math.Sin(ph)
+	}
+	re, im = referenceFiltFilt(lp, re), referenceFiltFilt(lp, im)
+	out := make([]complex128, len(x))
+	for i := range out {
+		out[i] = complex(re[i], im[i])
+	}
+	return out[from:]
+}
+
+// referenceFiltFilt is zero-phase filtering section by section
+// through reversed copies: Filter, reverse, Filter, reverse.
+func referenceFiltFilt(lp *IIR, v []float64) []float64 {
+	fwd := lp.Filter(v)
+	slices.Reverse(fwd)
+	bwd := lp.Filter(fwd)
+	slices.Reverse(bwd)
+	return bwd
+}
+
+// gatedExchange is a reader exchange as the hydrophone sees it: a
+// PWM-keyed downlink carrier 40x the uplink's, then, from gate on, the
+// continuous carrier with a weak backscatter square wave and noise.
+func gatedExchange(fc, fs float64, n, gate int) []float64 {
+	rng := rand.New(rand.NewSource(7))
+	x := make([]float64, n)
+	w := 2 * math.Pi * fc / fs
+	for i := range x {
+		amp := 1 + 0.05*float64((i/96)%2)
+		if i < gate {
+			amp = 40 * float64((i/480)%3%2+1) / 2
+		}
+		x[i] = amp*math.Sin(w*float64(i)+0.3) + 0.01*rng.NormFloat64()
+	}
+	return x
+}
+
+// TestDownconvertLPMatchesWholeSignalFilter pins DownconvertLP's gated
+// front end to the whole-signal reference: bit-identical at the
+// channel cutoffs of the paper node's bitrates (8 × bitrate) and at
+// fs/4, and within 1e-12 of the output peak at low cutoffs, where the
+// cascade's poles sit close to z = 1 and the truncated history leaves
+// a rounding floor.
+func TestDownconvertLPMatchesWholeSignalFilter(t *testing.T) {
+	const (
+		fs   = 96000.0
+		fc   = 15000.0
+		n    = 54000
+		gate = 24000
+	)
+	x := gatedExchange(fc, fs, n, gate)
+	exact := []float64{8 * 496.5, 8 * 993, 8 * 1489.5, 8 * 2048, fs / 4}
+	var low []float64
+	for c := 200.0; c <= 3200; c += 500 {
+		low = append(low, c)
+	}
+	for _, tc := range append(append([]float64{}, exact...), low...) {
+		bitExact := tc >= exact[0]
+		lp, err := DesignButterworthLowpass(tc, fs, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		settle := lp.Settle()
+		for _, from := range []int{0, settle / 2, gate, n - 1} {
+			got, err := DownconvertLP(x, from, fc, fs, tc, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := referenceDownconvertLP(t, x, from, fc, fs, tc, 4)
+			if len(got) != len(want) {
+				t.Fatalf("cutoff %g from %d: %d samples, want %d", tc, from, len(got), len(want))
+			}
+			peak, worst, differ := 0.0, 0.0, 0
+			for i := range want {
+				peak = max(peak, cmplx.Abs(want[i]))
+				if got[i] != want[i] {
+					differ++
+					worst = max(worst, cmplx.Abs(got[i]-want[i]))
+				}
+			}
+			switch {
+			case bitExact && differ > 0:
+				t.Errorf("cutoff %g from %d (settle %d): %d of %d samples differ (worst %.3g), want bit-identical",
+					tc, from, settle, differ, len(want), worst)
+			case worst > 1e-12*peak:
+				t.Errorf("cutoff %g from %d (settle %d): worst difference %.3g of peak %.3g, want ≤ 1e-12",
+					tc, from, settle, worst, peak)
+			}
+		}
+	}
+}
+
+func TestDownconvertLPRejectsStartOutsideSignal(t *testing.T) {
+	x := Sine(1, 15000, 96000, 0, 100)
+	for _, from := range []int{-1, 101} {
+		if _, err := DownconvertLP(x, from, 15000, 96000, 2000, 4); err == nil {
+			t.Errorf("start %d: want an error", from)
+		}
+	}
+	if bb, err := DownconvertLP(x, 100, 15000, 96000, 2000, 4); err != nil || len(bb) != 0 {
+		t.Errorf("start at the end: %d samples, %v; want none and no error", len(bb), err)
 	}
 }

@@ -95,8 +95,8 @@ func CorrectCFO(bb []complex128, cfo, fs float64) []complex128 {
 	}
 	w := -2 * math.Pi * cfo / fs
 	for i, v := range bb {
-		ph := w * float64(i)
-		out[i] = v * complex(math.Cos(ph), math.Sin(ph))
+		s, c := math.Sincos(w * float64(i))
+		out[i] = v * complex(c, s)
 	}
 	return out
 }

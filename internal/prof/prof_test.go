@@ -1,6 +1,7 @@
 package prof
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -256,5 +257,27 @@ func TestPerOp(t *testing.T) {
 	PerOp(stats, 2)
 	if s := stats["sync"]; s.CallsPerOp != 18 || s.MSPerOp != 9 {
 		t.Fatalf("calls/op %g ms/op %g, want 18 and 9", s.CallsPerOp, s.MSPerOp)
+	}
+}
+
+func TestBenchReportCarriesEnv(t *testing.T) {
+	e := CurrentEnv()
+	if e.GOMAXPROCS <= 0 || e.NumCPU <= 0 || e.CPUModel == "" || !strings.HasPrefix(e.GoVersion, "go") {
+		t.Fatalf("CurrentEnv() = %+v, want positive counts, a CPU model and a Go version", e)
+	}
+	b, err := json.Marshal(BenchReport{Env: e})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		Env map[string]any `json:"env"`
+	}
+	if err := json.Unmarshal(b, &rep); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"gomaxprocs", "nproc", "cpu_model", "go_version"} {
+		if _, ok := rep.Env[k]; !ok {
+			t.Errorf("report env lacks %q: %v", k, rep.Env)
+		}
 	}
 }

@@ -2,6 +2,8 @@ package prof
 
 import (
 	"fmt"
+	"os"
+	"runtime"
 	"sort"
 	"strings"
 
@@ -159,6 +161,39 @@ type BenchReport struct {
 	// Stages maps stage key (record/downconvert/filter/sync/decode) to
 	// its statistics.
 	Stages map[string]StageStats `json:"stages"`
+	// Env is the machine the report was measured on.
+	Env Env `json:"env"`
+}
+
+// Env is the environment a benchmark ran in. A speedup counts only
+// against a baseline from the same environment: the same bench runs
+// markedly slower on a 2-core box than on a wide one.
+type Env struct {
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"nproc"`
+	CPUModel   string `json:"cpu_model"`
+	GoVersion  string `json:"go_version"`
+}
+
+// CurrentEnv describes the running process's environment. The CPU
+// model comes from /proc/cpuinfo and is "unknown" where that is
+// unavailable.
+func CurrentEnv() Env {
+	e := Env{
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		CPUModel:   "unknown",
+		GoVersion:  runtime.Version(),
+	}
+	if b, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(b), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				e.CPUModel = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	return e
 }
 
 // CheckAgainst gates a fresh measurement against a committed baseline
