@@ -315,7 +315,9 @@ func BenchmarkAblationMatchedVsShortedAbsorb(b *testing.B) {
 
 // BenchmarkLinkExchange measures one complete interrogation cycle
 // (downlink query + uplink decode) at 1 kbit/s — the simulator's core
-// inner loop.
+// inner loop. Every op repeats the same ping on one link, so after the
+// first it times repeat polls, which reuse the link's downlink memo
+// (internal/core's BenchmarkRunQueryPolls also times first polls).
 func BenchmarkLinkExchange(b *testing.B) {
 	link := newBenchLink(b, 1000)
 	b.ResetTimer()

@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"pab/internal/cli"
+	"pab/internal/prof"
 	"pab/internal/scenario"
 	"pab/internal/sim"
 	"pab/internal/telemetry"
@@ -114,6 +115,8 @@ func realMain() int {
 
 // Report is the BENCH_pabd.json schema.
 type Report struct {
+	// Env is the machine the report was measured on.
+	Env       prof.Env         `json:"env"`
 	Jobs      int              `json:"jobs"`
 	Workers   int              `json:"workers"`
 	Scheduler SchedulerResult  `json:"scheduler"`
@@ -163,7 +166,7 @@ type CacheReplayStats struct {
 }
 
 func run(jobs, workers int, service time.Duration, durable bool, fsync wal.FsyncPolicy, fsyncName string) (*Report, error) {
-	rep := &Report{Jobs: jobs, Workers: workers}
+	rep := &Report{Env: prof.CurrentEnv(), Jobs: jobs, Workers: workers}
 
 	// --- scheduler workload: fixed service time, serial vs pool ---
 	sleeper := func(ctx context.Context, _ scenario.Spec) (json.RawMessage, error) {

@@ -18,6 +18,7 @@ import (
 
 	"pab/internal/cli"
 	"pab/internal/frame"
+	"pab/internal/prof"
 	"pab/internal/stream"
 	"pab/internal/stream/streamd"
 )
@@ -85,6 +86,8 @@ const streamLatencyFloorMS = 5
 
 // StreamReport is the BENCH_stream.json schema.
 type StreamReport struct {
+	// Env is the machine the report was measured on.
+	Env     prof.Env    `json:"env"`
 	Streams int         `json:"streams"`
 	Runs    []StreamRun `json:"runs"` // at N and 2N
 	// FlatnessX is bytes_per_stream at 2N over bytes_per_stream at N.
@@ -123,7 +126,7 @@ func benchSynthCfg() stream.SynthConfig {
 // runStream sweeps n and 2n concurrent streams and assembles the
 // report.
 func runStream(n int) (*StreamReport, error) {
-	rep := &StreamReport{Streams: n}
+	rep := &StreamReport{Env: prof.CurrentEnv(), Streams: n}
 	for _, count := range []int{n, 2 * n} {
 		run, err := benchStreams(count)
 		if err != nil {

@@ -52,7 +52,7 @@ var hotFuncs = map[string][]string{
 		"CrossCorrelate", "NormalizedCrossCorrelate",
 		"(*IIR).Filter", "(*IIR).FiltFilt", "(*IIR).filtFilt", "(*IIR).filtFiltIQ", "(*IIR).Settle",
 		"Decimate", "DecimateComplex",
-		"fftRadix2", "twiddlesFor", "releaseTwiddles", "twiddle", "radix2Stage", "radix4Stages",
+		"fftRadix2", "twiddlesFor", "releaseTwiddles", "twiddle", "radix2Stage", "radix4Stages", "Hilbert",
 		"OverlapSaveBlock", "(*OverlapSave).Correlate",
 	},
 	"pab/internal/phy": {

@@ -174,6 +174,83 @@ func TestApplyFractionalDelay(t *testing.T) {
 	}
 }
 
+// perTapApply is Apply as one sweep of the whole input per tap — the
+// reference for the blocked loop's order of additions.
+func perTapApply(ir *ImpulseResponse, x []float64) []float64 {
+	spread := int(math.Ceil(ir.MaxDelay()*ir.SampleRate)) + 2
+	out := make([]float64, len(x)+spread)
+	for _, tap := range ir.Taps {
+		d := tap.DelaySeconds * ir.SampleRate
+		i0 := int(math.Floor(d))
+		frac := d - float64(i0)
+		g0 := tap.Gain * (1 - frac)
+		g1 := tap.Gain * frac
+		for i, v := range x {
+			out[i+i0] += g0 * v
+			out[i+i0+1] += g1 * v
+		}
+	}
+	return out
+}
+
+// applyTestResponses returns a hand-built response with a tap at i0 = 0
+// and the link responses of both pools.
+func applyTestResponses(tb testing.TB) map[string]*ImpulseResponse {
+	tb.Helper()
+	irs := map[string]*ImpulseResponse{
+		"i0=0": {SampleRate: 96000, Taps: []Tap{
+			{DelaySeconds: 0, Gain: 0.7},
+			{DelaySeconds: 0.25 / 96000, Gain: -0.3},
+			{DelaySeconds: 3.5 / 96000, Gain: 0.2},
+			{DelaySeconds: 1600.75 / 96000, Gain: 0.1},
+		}},
+	}
+	for name, tank := range map[string]Tank{"PoolA": PoolA(), "PoolB": PoolB()} {
+		ir, err := tank.Response(Vec3{0.5, 0.5, 0.65}, Vec3{1.2, 1.3, 0.65}, 96000, Options{MaxOrder: 2, MinGain: 0.02, CarrierHz: 15000})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		irs[name] = ir
+	}
+	return irs
+}
+
+func TestApplyMatchesPerTapSweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for name, ir := range applyTestResponses(t) {
+		// Lengths around the edges and across block boundaries.
+		for _, n := range []int{1, 2, 3, applyBlock - 1, applyBlock + 1, 3*applyBlock + 17, 107313} {
+			x := make([]float64, n)
+			for i := range x {
+				x[i] = rng.NormFloat64()
+			}
+			got, want := ir.Apply(x), perTapApply(ir, x)
+			if len(got) != len(want) {
+				t.Fatalf("%s n=%d: length %d, want %d", name, n, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s n=%d: out[%d] = %v, want %v bit for bit", name, n, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkApply renders a link-length (107,313-sample) waveform through
+// each pool's projector-to-node response.
+func BenchmarkApply(b *testing.B) {
+	x := dsp.Sine(1, 15000, 96000, 0, 107313)
+	for _, name := range []string{"PoolA", "PoolB"} {
+		ir := applyTestResponses(b)[name]
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ir.Apply(x)
+			}
+		})
+	}
+}
+
 func TestApplyLinearity(t *testing.T) {
 	tank := PoolA()
 	ir, err := tank.Response(Vec3{0.5, 1, 0.6}, Vec3{2, 3, 0.6}, 96000, DefaultOptions(15000))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"pab/internal/channel"
@@ -172,6 +173,68 @@ func TestEndToEndSensorReading(t *testing.T) {
 	}
 	if id != frame.SensorPH || math.Abs(val-7.0) > 0.05 {
 		t.Errorf("decoded %v=%g, want pH≈7 (paper §6.5)", id, val)
+	}
+}
+
+func TestRunQueryMemoMatchesRecompute(t *testing.T) {
+	// Twin links, same config and seed; the second forgets its downlink
+	// memo before every poll, so it synthesises each downlink from
+	// scratch.
+	memo := newTestLink(t, DefaultLinkConfig(), 500)
+	fresh := newTestLink(t, DefaultLinkConfig(), 500)
+	for _, l := range []*Link{memo, fresh} {
+		if !l.PowerUp(60) {
+			t.Fatal("power up failed")
+		}
+	}
+	ping := frame.Query{Dest: 0x0A, Command: frame.CmdPing}
+	sensor := frame.Query{Dest: 0x0A, Command: frame.CmdReadSensor, Param: byte(frame.SensorPH)}
+	setRate := frame.Query{Dest: 0x0A, Command: frame.CmdSetBitrate, Param: 3} // divider 64: 512 bit/s
+	polls := []struct {
+		q         frame.Query
+		downshift bool // shift both links one rung first
+		hit       bool // the memo link reuses its downlink
+	}{
+		{q: ping},
+		{q: ping, hit: true},
+		{q: ping, downshift: true}, // new PWM unit and reply budget
+		{q: sensor},                // new query
+		{q: setRate},               // new query; the node's bitrate changes after it
+		{q: setRate},               // same query, new carrier tail
+		{q: sensor},
+		{q: sensor, hit: true},
+	}
+	for i, p := range polls {
+		if p.downshift && !(memo.Downshift() && fresh.Downshift()) {
+			t.Fatalf("poll %d: downshift refused", i)
+		}
+		before := memo.downlink
+		fresh.downlink = nil
+		a, errA := memo.RunQuery(p.q)
+		b, errB := fresh.RunQuery(p.q)
+		if errA != nil || errB != nil {
+			t.Fatalf("poll %d: %v / %v", i, errA, errB)
+		}
+		if hit := before != nil && memo.downlink == before; hit != p.hit {
+			t.Errorf("poll %d: memo hit = %v, want %v", i, hit, p.hit)
+		}
+		if len(a.Recording) != len(b.Recording) {
+			t.Fatalf("poll %d: recording lengths %d vs %d", i, len(a.Recording), len(b.Recording))
+		}
+		for j := range a.Recording {
+			if math.Float64bits(a.Recording[j]) != math.Float64bits(b.Recording[j]) {
+				t.Fatalf("poll %d: recording[%d] = %v with the memo, %v without", i, j, a.Recording[j], b.Recording[j])
+			}
+		}
+		if !reflect.DeepEqual(a.Decoded, b.Decoded) ||
+			math.Float64bits(a.UplinkBER) != math.Float64bits(b.UplinkBER) ||
+			math.Float64bits(a.CapVoltage) != math.Float64bits(b.CapVoltage) ||
+			a.NodeDecodedQuery != b.NodeDecodedQuery {
+			t.Errorf("poll %d: results differ: %+v vs %+v", i, a, b)
+		}
+		if !a.NodeDecodedQuery || a.Decoded == nil {
+			t.Errorf("poll %d (%v): node decoded %v, receiver decoded %v", i, p.q.Command, a.NodeDecodedQuery, a.Decoded != nil)
+		}
 	}
 }
 

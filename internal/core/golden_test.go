@@ -354,6 +354,47 @@ func BenchmarkDecodeUplinkGolden(b *testing.B) {
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/decodes, "B/decode")
 }
 
+// BenchmarkRunQueryPolls times a reader polling a node: one op builds
+// and powers a fresh link outside the timer, then polls it three times
+// with the same ping, so the first poll synthesises the downlink and
+// the repeats reuse it. Ops cycle through both pools (node at the centre
+// of the pool's power-up box) and the four clock-grid bitrates.
+func BenchmarkRunQueryPolls(b *testing.B) {
+	const polls = 3
+	q := frame.Query{Dest: 0x01, Command: frame.CmdPing}
+	var allocated uint64
+	var before, after runtime.MemStats
+	b.StopTimer()
+	for i := range b.N {
+		pool := goldenPools[i%len(goldenPools)]
+		cfg := DefaultLinkConfig()
+		cfg.Tank = pool.tank()
+		lo, hi := pool.box[0], pool.box[1]
+		cfg.NodePos = channel.Vec3{X: (lo.X + hi.X) / 2, Y: (lo.Y + hi.Y) / 2, Z: (lo.Z + hi.Z) / 2}
+		link := goldenLink(b, cfg, goldenBitrates[(i/len(goldenPools))%len(goldenBitrates)])
+		if err := link.EnsurePowered(60); err != nil {
+			b.Fatal(err)
+		}
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		for range polls {
+			res, err := link.RunQuery(q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Decoded == nil {
+				b.Fatalf("%s at %g bit/s: no decode", pool.name, link.Node().Bitrate())
+			}
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		allocated += after.TotalAlloc - before.TotalAlloc
+	}
+	exchanges := float64(b.N * polls)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/exchanges, "ms/exchange")
+	b.ReportMetric(float64(allocated)/exchanges, "B/exchange")
+}
+
 // TestDecodeRunsOneSyncStage pins the sync stage's shape: a decode that
 // locks on its first candidate runs one preamble correlation (one sync
 // stage call), however many projections and refinement windows it

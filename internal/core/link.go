@@ -92,6 +92,30 @@ type Link struct {
 	fault  *fault.Engine // nil unless chaos is attached
 	ladder []linkOp      // rate-adaptation rungs, 0 = most robust
 	level  int           // current rung
+
+	downlink *downlinkMemo // the last poll's downlink, nil before the first
+}
+
+// downlinkKey is every input of the projector's query synthesis: polls
+// with equal keys put the same field at the node.
+type downlinkKey struct {
+	q         frame.Query
+	driveV    float64
+	carrierHz float64
+	pwmUnit   int
+	tail      float64 // carrier tail, s: covers the reply budget, bitrate and clock skew
+}
+
+// downlinkMemo is what RunQuery keeps of one downlink between polls:
+// the Hilbert transform of the field at the node (the one FFT pair of
+// an exchange) and whether the node decoded the query, a pure function
+// of that field's envelope and the PWM unit. The field and the direct
+// path are resynthesised every poll rather than held: keeping them too
+// would triple the memo's memory per live link (DESIGN.md §4).
+type downlinkMemo struct {
+	key          downlinkKey
+	hilbert      []float64
+	queryDecoded bool
 }
 
 // NewLink validates the configuration, places the elements in the tank
@@ -258,18 +282,25 @@ func (l *Link) RunQuery(q frame.Query) (*ExchangeResult, error) {
 	pNode := l.irPN.Apply(x)
 	spStage.End()
 
-	// 3. Node-side envelope decode of the query.
+	// 3. Node-side envelope decode of the query: a repeat poll of the
+	// same downlink reuses the last outcome.
 	spStage = sp.Child("piezo")
-	unitRate := l.cfg.SampleRate / float64(l.cfg.PWMUnit)
-	envCut := math.Min(2*unitRate, l.cfg.SampleRate/4)
-	nodeEnv, err := dsp.AmplitudeEnvelope(pNode[:min(queryEndX+int(0.01*l.cfg.SampleRate), len(pNode))], l.cfg.SampleRate, envCut, 4)
-	if err != nil {
-		spStage.End()
-		return nil, err
+	key := downlinkKey{q: q, driveV: l.cfg.DriveV, carrierHz: l.cfg.CarrierHz, pwmUnit: l.cfg.PWMUnit, tail: tail}
+	memo := l.downlink
+	if memo == nil || memo.key != key {
+		unitRate := l.cfg.SampleRate / float64(l.cfg.PWMUnit)
+		envCut := math.Min(2*unitRate, l.cfg.SampleRate/4)
+		nodeEnv, err := dsp.AmplitudeEnvelope(pNode[:min(queryEndX+int(0.01*l.cfg.SampleRate), len(pNode))], l.cfg.SampleRate, envCut, 4)
+		if err != nil {
+			spStage.End()
+			return nil, err
+		}
+		decodedQ, err := l.node.DecodeDownlink(nodeEnv, l.cfg.PWMUnit)
+		memo = &downlinkMemo{key: key, hilbert: dsp.Hilbert(pNode), queryDecoded: err == nil && decodedQ == q}
+		l.downlink = memo
 	}
-	decodedQ, err := l.node.DecodeDownlink(nodeEnv, l.cfg.PWMUnit)
-	if err == nil && decodedQ == q {
-		res.NodeDecodedQuery = true
+	res.NodeDecodedQuery = memo.queryDecoded
+	if res.NodeDecodedQuery {
 		telemetry.Inc(telemetry.MCoreDownlinkDecodesTotal)
 	} else {
 		telemetry.Inc(telemetry.MCoreDownlinkDecodeFailuresTotal)
@@ -281,16 +312,17 @@ func (l *Link) RunQuery(q frame.Query) (*ExchangeResult, error) {
 	spRect.Attr("cap_voltage", l.node.CapVoltage()).End()
 
 	// The reflection coefficient is complex (magnitude and phase); apply
-	// it to the narrowband field via the analytic signal.
-	aNode := dsp.AnalyticSignal(pNode)
+	// it to the narrowband field via the analytic signal
+	// complex(pNode[i], h[i]).
+	h := memo.hilbert[:len(pNode)]
 	absorbGain := l.node.FrontEnd().ReflectionCoeff(piezo.Absorptive, l.cfg.CarrierHz)
 	reflected := make([]float64, len(pNode))
 	for i := range reflected {
-		reflected[i] = real(absorbGain * aNode[i])
+		reflected[i] = real(absorbGain * complex(pNode[i], h[i]))
 	}
 
 	if res.NodeDecodedQuery {
-		bits, err := l.node.HandleQuery(decodedQ)
+		bits, err := l.node.HandleQuery(q)
 		if err == nil && bits != nil {
 			res.UplinkBits = bits
 			states, err := l.node.StartBackscatter(bits, l.cfg.SampleRate)
@@ -332,7 +364,7 @@ func (l *Link) RunQuery(q frame.Query) (*ExchangeResult, error) {
 					g = reflGain
 				}
 				gSmooth += complex(alpha, 0) * (g - gSmooth)
-				reflected[idx] = real(gSmooth * aNode[idx])
+				reflected[idx] = real(gSmooth * complex(pNode[idx], h[idx]))
 			}
 			if midFrameBrownout {
 				l.node.ForceBrownout()

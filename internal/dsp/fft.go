@@ -5,7 +5,7 @@
 // Everything operates on float64 (real) or complex128 sample slices.
 // The receive chain and the simulator spend most of their time here: in
 // the FFT (behind the preamble correlation, OverlapSave, and the
-// simulator's AnalyticSignal) and in the Butterworth channel filter. The
+// simulator's Hilbert transform) and in the Butterworth channel filter. The
 // kernels favour numerical robustness first (twiddles from a table, not a
 // drifting recurrence), then speed.
 package dsp
@@ -456,39 +456,80 @@ func validateLength(n int, what string) error {
 	return nil
 }
 
-// AnalyticSignal returns the complex analytic signal of x via the FFT
-// method (negative frequencies zeroed, positive doubled): its real part
-// is x and its imaginary part the Hilbert transform. Narrowband
-// backscatter applies a complex reflection coefficient to the carrier —
-// magnitude scales and phase shifts — which is exactly multiplication of
-// the analytic signal.
+// AnalyticSignal returns the complex analytic signal of x: its real
+// part is x exactly and its imaginary part the Hilbert transform.
+// Narrowband backscatter applies a complex reflection coefficient to the
+// carrier — magnitude scales and phase shifts — which is exactly
+// multiplication of the analytic signal.
 func AnalyticSignal(x []float64) []complex128 {
+	h := Hilbert(x)
+	if h == nil {
+		return nil
+	}
+	out := make([]complex128, len(x))
+	for i, v := range x {
+		out[i] = complex(v, h[i])
+	}
+	return out
+}
+
+// Hilbert returns the Hilbert transform of x, zero-padded to m, the next
+// power of two: the inverse transform of −j·sgn(k)·X[k], with DC and
+// Nyquist zeroed (the imaginary part of the FFT-method analytic signal).
+//
+// A real input's spectrum is Hermitian and so is its Hilbert transform's,
+// so both transforms run at half size: x is packed as m/2 complex
+// samples z[r] = x[2r] + j·x[2r+1] and transformed; the one-sided
+// spectrum splits out of Z with the size-m twiddles w = W_m^k as
+// X[k] = E[k] + w·O[k], X[k+m/2] = E[k] − w·O[k], where
+// E[k] = (Z[k] + Z̄[m/2−k])/2 and O[k] = −j(Z[k] − Z̄[m/2−k])/2. Forming
+// −j·sgn(k)·X[k] and repacking it as the half-size spectrum of
+// h[2r] + j·h[2r+1] reduces, with w = c + j·s, to
+// Z'[k] = c·Z̄[m/2−k] − j·s·Z[k]; one inverse transform of Z' then yields
+// h interleaved.
+func Hilbert(x []float64) []float64 {
 	n := len(x)
 	if n == 0 {
 		return nil
 	}
-	m := NextPow2(n)
-	buf := make([]complex128, m)
-	for i, v := range x {
-		buf[i] = complex(v, 0)
+	// A half-size transform needs m ≥ 2; m ≤ 2 holds only DC and
+	// Nyquist, so the transform of one or two samples is zero.
+	m := max(NextPow2(n), 2)
+	half := m / 2
+	z := make([]complex128, half)
+	for i := 0; i+1 < n; i += 2 {
+		z[i/2] = complex(x[i], x[i+1])
 	}
-	fftRadix2(buf, false)
-	// Keep DC and Nyquist, double positive frequencies, zero negatives.
-	for k := 1; k < m/2; k++ {
-		buf[k] *= 2
+	if n%2 == 1 {
+		z[n/2] = complex(x[n-1], 0)
 	}
-	for k := m/2 + 1; k < m; k++ {
-		buf[k] = 0
+	fftRadix2(z, false)
+	if half >= 2 {
+		tab := twiddlesFor(m)
+		stride := tab.n / m
+		for k := 1; k <= half/2; k++ {
+			w := twiddle(tab.tw, k, m/4, stride, 1)
+			c, s := real(w), imag(w)
+			a, b := z[k], z[half-k]
+			// Z'[m/2−k] uses W_m^(m/2−k) = −w̄; at k = m/4 both lines
+			// write the same bin with the same value.
+			z[k] = complex(c*real(b)+s*imag(a), -c*imag(b)-s*real(a))
+			z[half-k] = complex(s*imag(b)-c*real(a), c*imag(a)-s*real(b))
+		}
+		releaseTwiddles(tab)
 	}
-	fftRadix2(buf, true)
-	// Scale in place and return the prefix: a copy would allocate n
-	// more complex samples per call.
-	out := buf[:n:n]
-	inv := complex(1/float64(m), 0)
-	for i := range out {
-		out[i] *= inv
+	z[0] = 0 // Z'[0] holds DC and Nyquist, both zeroed
+	fftRadix2(z, true)
+	h := make([]float64, n)
+	inv := 1 / float64(half)
+	for i := 0; i+1 < n; i += 2 {
+		v := z[i/2]
+		h[i], h[i+1] = real(v)*inv, imag(v)*inv
 	}
-	return out
+	if n%2 == 1 {
+		h[n-1] = real(z[n/2]) * inv
+	}
+	return h
 }
 
 // Spectrogram computes the magnitude STFT of x: frames of winLen samples

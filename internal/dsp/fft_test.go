@@ -318,6 +318,68 @@ func TestAnalyticSignalPhaseShift(t *testing.T) {
 	}
 }
 
+// fullSpectrumAnalytic is the analytic signal by one full-size complex
+// transform pair (negative frequencies zeroed, positive doubled, DC and
+// Nyquist kept) — the method Hilbert's half-size packing replaces, kept
+// here as its reference.
+func fullSpectrumAnalytic(x []float64) []complex128 {
+	m := NextPow2(len(x))
+	buf := make([]complex128, m)
+	for i, v := range x {
+		buf[i] = complex(v, 0)
+	}
+	fftRadix2(buf, false)
+	for k := 1; k < m/2; k++ {
+		buf[k] *= 2
+	}
+	for k := m/2 + 1; k < m; k++ {
+		buf[k] = 0
+	}
+	fftRadix2(buf, true)
+	out := buf[:len(x)]
+	for i := range out {
+		out[i] /= complex(float64(m), 0)
+	}
+	return out
+}
+
+func TestHilbertMatchesFullSpectrum(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	sizes := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 1000, 4097, 73575, 107313, 1 << 17}
+	for _, n := range sizes {
+		// A keyed carrier with a noisy tail, like the simulator's field at
+		// the node, so both narrowband and broadband content are covered.
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+			if i%3000 < 2000 {
+				x[i] += 40 * math.Cos(2*math.Pi*15000*float64(i)/96000+0.3)
+			}
+		}
+		ref := fullSpectrumAnalytic(x)
+		h := Hilbert(x)
+		a := AnalyticSignal(x)
+		if len(h) != n || len(a) != n {
+			t.Fatalf("n=%d: lengths %d, %d", n, len(h), len(a))
+		}
+		peak := 0.0
+		for _, v := range ref {
+			peak = math.Max(peak, cmplx.Abs(v))
+		}
+		worst := 0.0
+		for i := range x {
+			if real(a[i]) != x[i] || imag(a[i]) != h[i] {
+				t.Fatalf("n=%d: AnalyticSignal[%d] = %v, want (x, h) = (%v, %v)", n, i, a[i], x[i], h[i])
+			}
+			worst = math.Max(worst, cmplx.Abs(a[i]-ref[i]))
+		}
+		if worst > 1e-13*peak {
+			t.Errorf("n=%d: max |Δ| = %.3g, above 1e-13 of peak %.3g", n, worst, peak)
+		}
+		t.Logf("n=%d: max |Δ| / peak = %.2g", n, worst/peak)
+	}
+}
+
 func TestAnalyticSignalEmpty(t *testing.T) {
 	if AnalyticSignal(nil) != nil {
 		t.Error("AnalyticSignal(nil) should be nil")
