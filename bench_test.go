@@ -621,107 +621,6 @@ func BenchmarkExtensionFDMANetwork(b *testing.B) {
 	b.ReportMetric(goodput, "net_goodput_bps")
 }
 
-// BenchmarkExtensionCDMABandwidth verifies footnote 4's bandwidth
-// argument across user counts, reporting the CDMA/FDMA spectrum ratio
-// at 8 users (1.0 = the paper's claim).
-func BenchmarkExtensionCDMABandwidth(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		fdma, cdma, err := phy.MultipleAccessBandwidth(8, 500)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = cdma / fdma
-	}
-	b.ReportMetric(ratio, "cdma/fdma_bandwidth")
-}
-
-// BenchmarkAblationFM0vsManchester compares the two bi-phase codes the
-// paper names (§3.2) at equal AWGN, reporting the error ratio
-// (FM0 errors / Manchester errors). Manchester holds a small raw-BER
-// edge (independent per-bit decisions); FM0 wins on self-clocking.
-func BenchmarkAblationFM0vsManchester(b *testing.B) {
-	fm0, err := phy.NewFM0(8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	man, err := phy.NewManchester(8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		rng := rand.New(rand.NewSource(17))
-		fmErrs, manErrs := 1, 1
-		for trial := 0; trial < 40; trial++ {
-			bits := make([]phy.Bit, 100)
-			for j := range bits {
-				bits[j] = phy.Bit(rng.Intn(2))
-			}
-			w1, _ := fm0.Encode(bits, 1)
-			w2 := man.Encode(bits)
-			for j := range w1 {
-				w1[j] += rng.NormFloat64()
-				w2[j] += rng.NormFloat64()
-			}
-			got1, _ := fm0.DecodeFrom(w1, len(bits), 1)
-			fmErrs += phy.CountBitErrors(bits, got1)
-			manErrs += phy.CountBitErrors(bits, man.Decode(w2, len(bits)))
-		}
-		ratio = float64(fmErrs) / float64(manErrs)
-	}
-	b.ReportMetric(ratio, "fm0/manchester_errors")
-}
-
-// BenchmarkAblationLMSEqualizer quantifies what an LMS equalizer claws
-// back from a two-tap ISI channel (the high-bitrate reverberation
-// limiter of Fig 8), reporting the decision-error improvement factor.
-func BenchmarkAblationLMSEqualizer(b *testing.B) {
-	var improvement float64
-	for i := 0; i < b.N; i++ {
-		rng := rand.New(rand.NewSource(8))
-		train := make([]float64, 1500)
-		for j := range train {
-			train[j] = float64(rng.Intn(2))*2 - 1
-		}
-		isi := func(x []float64) []float64 {
-			out := make([]float64, len(x))
-			copy(out, x)
-			for j := 2; j < len(x); j++ {
-				out[j] += 0.65 * x[j-2]
-			}
-			return out
-		}
-		eq, err := dsp.NewLMSEqualizer(13, 0.2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := eq.Train(isi(train), train, 40); err != nil {
-			b.Fatal(err)
-		}
-		data := make([]float64, 4000)
-		for j := range data {
-			data[j] = float64(rng.Intn(2))*2 - 1
-		}
-		rx := isi(data)
-		for j := range rx {
-			rx[j] += rng.NormFloat64() * 0.3
-		}
-		eqd := eq.Equalize(rx)
-		rawErrs, eqErrs := 1, 1
-		for j := range data {
-			if (rx[j] > 0) != (data[j] > 0) {
-				rawErrs++
-			}
-			if (eqd[j] > 0) != (data[j] > 0) {
-				eqErrs++
-			}
-		}
-		improvement = float64(rawErrs) / float64(eqErrs)
-	}
-	b.ReportMetric(improvement, "error_reduction")
-}
-
 // BenchmarkExtensionInventory measures the slotted-ALOHA discovery of a
 // 64-node fleet, reporting slot efficiency (optimum 1/e).
 func BenchmarkExtensionInventory(b *testing.B) {

@@ -12,13 +12,11 @@
 //	go run ./cmd/pablint -exclude lockdiscipline ./...
 //	go run ./cmd/pablint -list            # show the rules
 //	go run ./cmd/pablint -json ./... > findings.json
-//	go run ./cmd/pablint -baseline findings.json ./...   # only NEW findings fail
 //	go run ./cmd/pablint -dir internal/lint/testdata/src ./...  # fixtures
 //
 // With -json the machine-readable report goes to stdout and the
 // human-readable findings to stderr (where CI problem matchers pick
-// them up). With -baseline, findings already recorded in the given
-// report are accepted; only new ones are printed and fail the run.
+// them up).
 //
 // Exit codes: 0 clean, 1 findings reported, 2 load/usage error.
 // Suppress a finding with "//pablint:ignore <rule> <reason>" on (or
@@ -52,9 +50,8 @@ func realMain() int {
 	list := flag.Bool("list", false, "list available rules and exit")
 	dir := flag.String("dir", ".", "module root to analyze (patterns resolve relative to it)")
 	jsonOut := flag.Bool("json", false, "write a JSON report to stdout (findings still print to stderr)")
-	baseline := flag.String("baseline", "", "JSON report of accepted findings; only new findings fail")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: pablint [-dir root] [-only r1,r2] [-exclude r1,r2] [-json] [-baseline file] [-list] [patterns]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: pablint [-dir root] [-only r1,r2] [-exclude r1,r2] [-json] [-list] [patterns]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -130,20 +127,12 @@ func realMain() int {
 	prog := &lint.Program{Pkgs: pkgs, Loader: loader}
 	all := lint.RunAll(prog, cfg, analyzers)
 
-	// The failing set: active findings, minus the baseline if given.
+	// The failing set: active findings.
 	failing := make([]lint.Finding, 0, len(all))
 	for _, f := range all {
 		if !f.Suppressed {
 			failing = append(failing, f)
 		}
-	}
-	if *baseline != "" {
-		base, err := lint.LoadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pablint: %v\n", err)
-			return exitError
-		}
-		failing = base.FilterNew(loader.ModRoot, all)
 	}
 
 	// Human-readable findings: stdout normally, stderr under -json so

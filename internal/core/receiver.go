@@ -60,15 +60,30 @@ func NewReceiver(fs float64) (*Receiver, error) {
 }
 
 // FindCarriers identifies up to maxN downlink carrier frequencies in a
-// recording by FFT peak detection (§5.1b).
+// recording by FFT peak detection (§5.1b). A carrier must hold at least
+// carrierMinShare of the recording's spectral energy, so silence, DC or
+// broadband noise yields none.
 func (r *Receiver) FindCarriers(recording []float64, maxN int) []float64 {
-	peaks := dsp.FindPeaks(recording, r.SampleRate, maxN, 1000, 0)
+	// Parseval: the N-point DFT's bins sum to N·Σx² over both halves.
+	energy := 0.0
+	for _, v := range recording {
+		energy += v * v
+	}
+	minPower := carrierMinShare * float64(len(recording)) * energy
+	peaks := dsp.FindPeaks(recording, r.SampleRate, maxN, 1000, minPower)
 	out := make([]float64, 0, len(peaks))
 	for _, p := range peaks {
 		out = append(out, p.Frequency)
 	}
 	return out
 }
+
+// carrierMinShare is the least share of a recording's spectral energy
+// (both DFT halves) one bin must hold to count as a carrier. A steady
+// tone holds up to 1/2 in its positive-frequency bin, and still about
+// 0.2 between bins; white noise's strongest bin holds about ln(N/2)/N,
+// 0.1% at N = 8192 samples.
+const carrierMinShare = 0.01
 
 // Demodulate mixes the recording down by the carrier and low-pass
 // filters, returning the complex baseband whose magnitude is the

@@ -32,6 +32,47 @@ func CrossCorrelate(x, h []float64) []float64 {
 	return out
 }
 
+// Convolve returns the full linear convolution of a and b
+// (length len(a)+len(b)-1). Inputs above a size threshold are convolved via
+// FFT for speed; small inputs use the direct method.
+func Convolve(a, b []float64) []float64 {
+	if len(a) == 0 || len(b) == 0 {
+		return nil
+	}
+	n := len(a) + len(b) - 1
+	// Direct method cost ~ len(a)*len(b); FFT cost ~ 3·m·log2(m).
+	if len(a)*len(b) <= 16*1024 {
+		out := make([]float64, n)
+		for i, av := range a {
+			for j, bv := range b {
+				out[i+j] += av * bv
+			}
+		}
+		return out
+	}
+	m := NextPow2(n)
+	fa := make([]complex128, m)
+	fb := make([]complex128, m)
+	for i, v := range a {
+		fa[i] = complex(v, 0)
+	}
+	for i, v := range b {
+		fb[i] = complex(v, 0)
+	}
+	fftRadix2(fa, false)
+	fftRadix2(fb, false)
+	for i := range fa {
+		fa[i] *= fb[i]
+	}
+	fftRadix2(fa, true)
+	out := make([]float64, n)
+	inv := 1 / float64(m)
+	for i := 0; i < n; i++ {
+		out[i] = real(fa[i]) * inv
+	}
+	return out
+}
+
 // NormalizedCrossCorrelate returns the zero-mean normalised
 // cross-correlation (Pearson correlation per window): both the template
 // mean and each window's local mean are removed, so each output lies in
@@ -81,18 +122,6 @@ func NormalizedCrossCorrelate(x, h []float64) []float64 {
 	return out
 }
 
-// ArgMax returns the index and value of the maximum element of x.
-// It returns (-1, -Inf) for empty input.
-func ArgMax(x []float64) (int, float64) {
-	idx, best := -1, math.Inf(-1)
-	for i, v := range x {
-		if v > best {
-			idx, best = i, v
-		}
-	}
-	return idx, best
-}
-
 // ArgMaxAbs returns the index and value of the element with the largest
 // absolute value.
 func ArgMaxAbs(x []float64) (int, float64) {
@@ -130,23 +159,6 @@ func RMS(x []float64) float64 {
 		s += v * v
 	}
 	return math.Sqrt(s / float64(len(x)))
-}
-
-// Energy returns Σx².
-func Energy(x []float64) float64 {
-	s := 0.0
-	for _, v := range x {
-		s += v * v
-	}
-	return s
-}
-
-// Scale multiplies every element by k in place and returns x.
-func Scale(x []float64, k float64) []float64 {
-	for i := range x {
-		x[i] *= k
-	}
-	return x
 }
 
 // Add accumulates src into dst elementwise over the overlapping prefix and

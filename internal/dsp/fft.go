@@ -1,6 +1,6 @@
 // Package dsp implements the signal-processing primitives the PAB receiver
-// chain is built from: FFTs, window functions, FIR and Butterworth IIR
-// filters, mixing/downconversion, envelope detection and correlation.
+// chain is built from: FFTs, Butterworth low-pass filters,
+// mixing/downconversion, envelope detection and correlation.
 //
 // Everything operates on float64 (real) or complex128 sample slices.
 // The receive chain and the simulator spend most of their time here: in
@@ -307,15 +307,6 @@ func bluestein(x []complex128, inverse bool) []complex128 {
 	return out
 }
 
-// Magnitudes returns |x[i]| for each element.
-func Magnitudes(x []complex128) []float64 {
-	m := make([]float64, len(x))
-	for i, v := range x {
-		m[i] = cmplx.Abs(v)
-	}
-	return m
-}
-
 // PowerSpectrum returns |X[k]|² of the DFT of x, for bins 0..N/2 (real
 // input spectra are symmetric, so only the first half is meaningful).
 func PowerSpectrum(x []float64) []float64 {
@@ -333,19 +324,6 @@ func PowerSpectrum(x []float64) []float64 {
 // N-point transform at sample rate fs.
 func BinFrequency(k, n int, fs float64) float64 {
 	return float64(k) * fs / float64(n)
-}
-
-// FrequencyBin returns the FFT bin index closest to frequency f for an
-// N-point transform at sample rate fs.
-func FrequencyBin(f float64, n int, fs float64) int {
-	k := int(math.Round(f * float64(n) / fs))
-	if k < 0 {
-		k = 0
-	}
-	if k > n/2 {
-		k = n / 2
-	}
-	return k
 }
 
 // Peak holds a detected spectral peak.
@@ -374,8 +352,10 @@ func FindPeaks(x []float64, fs float64, maxPeaks int, minSeparation, minPower fl
 	// Candidate counts are data-dependent (every local maximum above the
 	// power floor); start from a modest capacity and let growth amortise.
 	cands := make([]cand, 0, 32)
+	// A peak rises strictly from its left neighbour, so a plateau counts
+	// once (at its left edge) and a flat spectrum has no peaks at all.
 	for k := 1; k < len(ps)-1; k++ {
-		if ps[k] >= ps[k-1] && ps[k] >= ps[k+1] && ps[k] >= minPower {
+		if ps[k] > ps[k-1] && ps[k] >= ps[k+1] && ps[k] >= minPower {
 			cands = append(cands, cand{k, ps[k]})
 		}
 	}
@@ -530,42 +510,4 @@ func Hilbert(x []float64) []float64 {
 		h[n-1] = real(z[n/2]) * inv
 	}
 	return h
-}
-
-// Spectrogram computes the magnitude STFT of x: frames of winLen samples
-// (Hann-windowed) every hop samples, each transformed and reduced to
-// bins 0..winLen/2. Rows are time frames, columns frequency bins — the
-// offline inspection view the paper's Audacity workflow provided.
-func Spectrogram(x []float64, winLen, hop int) ([][]float64, error) {
-	if winLen < 4 || winLen&(winLen-1) != 0 {
-		return nil, fmt.Errorf("dsp: spectrogram window must be a power of two ≥ 4, got %d", winLen)
-	}
-	if hop < 1 {
-		return nil, fmt.Errorf("dsp: hop must be ≥ 1, got %d", hop)
-	}
-	if len(x) < winLen {
-		return nil, fmt.Errorf("dsp: input (%d) shorter than window (%d)", len(x), winLen)
-	}
-	win := Hann.Coefficients(winLen)
-	nFrames := (len(x)-winLen)/hop + 1
-	nBins := winLen/2 + 1
-	out := make([][]float64, nFrames)
-	// One flat backing array for all rows: a per-frame make turned the
-	// frame loop into nFrames allocations and scattered the rows across
-	// the heap.
-	backing := make([]float64, nFrames*nBins)
-	buf := make([]complex128, winLen)
-	for f := 0; f < nFrames; f++ {
-		start := f * hop
-		for i := 0; i < winLen; i++ {
-			buf[i] = complex(x[start+i]*win[i], 0)
-		}
-		fftRadix2(buf, false)
-		row := backing[f*nBins : (f+1)*nBins : (f+1)*nBins]
-		for k := range row {
-			row[k] = cmplx.Abs(buf[k])
-		}
-		out[f] = row
-	}
-	return out, nil
 }

@@ -9,13 +9,13 @@ import (
 )
 
 func TestOscillatorPhaseContinuity(t *testing.T) {
+	// Sample i of the running oscillator must match a fresh sinusoid at
+	// phase ωi, so the phase wrap introduces no discontinuity.
 	o := NewOscillator(15000, 96000)
-	a := o.Block(100)
-	b := o.Block(100)
-	whole := NewOscillator(15000, 96000).Block(200)
-	for i := 0; i < 100; i++ {
-		if !approx(a[i], whole[i], 1e-12) || !approx(b[i], whole[100+i], 1e-9) {
-			t.Fatal("oscillator blocks are not phase continuous")
+	want := Sine(1, 15000, 96000, 0, 200)
+	for i, w := range want {
+		if got := o.Next(); !approx(got, w, 1e-9) {
+			t.Fatalf("sample %d = %g, want %g: oscillator is not phase continuous", i, got, w)
 		}
 	}
 }
@@ -120,32 +120,12 @@ func TestDecimateComplex(t *testing.T) {
 	}
 }
 
-func TestResampleLinear(t *testing.T) {
-	x := []float64{0, 1, 2, 3}
-	got := ResampleLinear(x, 7)
-	if len(got) != 7 {
-		t.Fatalf("len = %d, want 7", len(got))
-	}
-	if got[0] != 0 || got[6] != 3 {
-		t.Errorf("endpoints %g, %g; want 0, 3", got[0], got[6])
-	}
-	if !approx(got[3], 1.5, 1e-12) {
-		t.Errorf("midpoint %g, want 1.5", got[3])
-	}
-	if out := ResampleLinear(nil, 5); out != nil {
-		t.Error("nil input should give nil")
-	}
-	if out := ResampleLinear([]float64{2}, 3); len(out) != 3 || out[1] != 2 {
-		t.Error("single-sample input should replicate")
-	}
-}
-
 func TestCrossCorrelatePeakAtOffset(t *testing.T) {
 	tmpl := []float64{1, -1, 1, 1, -1}
 	x := make([]float64, 100)
 	copy(x[40:], tmpl)
 	corr := CrossCorrelate(x, tmpl)
-	idx, _ := ArgMax(corr)
+	idx, _ := argMax(corr)
 	if idx != 40 {
 		t.Errorf("correlation peak at %d, want 40", idx)
 	}
@@ -164,7 +144,7 @@ func TestNormalizedCrossCorrelateBounds(t *testing.T) {
 			t.Fatalf("normalised corr out of bounds at %d: %g", i, v)
 		}
 	}
-	idx, v := ArgMax(corr)
+	idx, v := argMax(corr)
 	if idx != 200 || v < 0.999 {
 		t.Errorf("peak (%d, %g), want (200, ~1)", idx, v)
 	}
@@ -193,8 +173,8 @@ func TestCrossCorrelateFFTPath(t *testing.T) {
 }
 
 func TestArgMaxEdgeCases(t *testing.T) {
-	if idx, _ := ArgMax(nil); idx != -1 {
-		t.Error("ArgMax(nil) index should be -1")
+	if idx, _ := argMax(nil); idx != -1 {
+		t.Error("argMax(nil) index should be -1")
 	}
 	idx, v := ArgMaxAbs([]float64{1, -5, 3})
 	if idx != 1 || v != -5 {
@@ -211,14 +191,6 @@ func TestStatsHelpers(t *testing.T) {
 	}
 	if !approx(RMS([]float64{3, 4}), math.Sqrt(12.5), 1e-12) {
 		t.Error("RMS wrong")
-	}
-	if !approx(Energy([]float64{3, 4}), 25, 1e-12) {
-		t.Error("Energy wrong")
-	}
-	x := []float64{1, 2}
-	Scale(x, 2)
-	if x[0] != 2 || x[1] != 4 {
-		t.Error("Scale wrong")
 	}
 	dst := []float64{1, 1, 1}
 	Add(dst, []float64{1, 2})

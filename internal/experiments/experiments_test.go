@@ -322,3 +322,44 @@ func TestScalingValidation(t *testing.T) {
 		t.Error("zero spacing should error")
 	}
 }
+
+func TestMultipleAccessBandwidthFootnote4(t *testing.T) {
+	// The paper's footnote 4: CDMA needs the same overall bandwidth as
+	// FDMA (for power-of-two user counts; otherwise CDMA rounds up to
+	// the next code family and needs slightly more).
+	for _, users := range []int{1, 2, 4, 8} {
+		fdma, cdma, err := MultipleAccessBandwidth(users, 500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(fdma-cdma) > 1e-9 {
+			t.Errorf("%d users: FDMA %g Hz vs CDMA %g Hz, want equal", users, fdma, cdma)
+		}
+	}
+	// Non-power-of-two: CDMA rounds up.
+	fdma, cdma, err := MultipleAccessBandwidth(3, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cdma <= fdma {
+		t.Errorf("3 users: CDMA %g should exceed FDMA %g (code family rounds to 4)", cdma, fdma)
+	}
+	if _, _, err := MultipleAccessBandwidth(0, 500); err == nil {
+		t.Error("zero users should error")
+	}
+}
+
+// BenchmarkExtensionCDMABandwidth verifies footnote 4's bandwidth
+// argument across user counts, reporting the CDMA/FDMA spectrum ratio
+// at 8 users (1.0 = the paper's claim).
+func BenchmarkExtensionCDMABandwidth(b *testing.B) {
+	var ratio float64
+	for i := 0; i < b.N; i++ {
+		fdma, cdma, err := MultipleAccessBandwidth(8, 500)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ratio = cdma / fdma
+	}
+	b.ReportMetric(ratio, "cdma/fdma_bandwidth")
+}

@@ -8,6 +8,7 @@ import (
 	"pab/internal/channel"
 	"pab/internal/core"
 	"pab/internal/frame"
+	"pab/internal/phy"
 	"pab/internal/sensors"
 )
 
@@ -151,4 +152,26 @@ func RunScaling(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// MultipleAccessBandwidth compares the total spectrum K concurrent users
+// at equal bitrate need under FDMA, the scheme this study scales, and
+// under CDMA (§3.3.1 footnote 4: "CDMA requires the same overall
+// bandwidth as standard FDMA since it uses a spreading code at a higher
+// rate than the transmitted signals"). FDMA needs K channels of the
+// per-user bandwidth. CDMA needs one channel whose chip rate is the
+// bitrate times the spreading factor, the smallest power-of-two code
+// family (Walsh–Hadamard) with ≥ K codes, so the two match for
+// power-of-two K. It returns (fdmaHz, cdmaHz).
+func MultipleAccessBandwidth(users int, bitrate float64) (float64, float64, error) {
+	if users < 1 || bitrate <= 0 {
+		return 0, 0, fmt.Errorf("experiments: need ≥1 user and positive bitrate")
+	}
+	fdma := float64(users) * phy.OccupiedBandwidth(bitrate)
+	factor := 1
+	for factor < users {
+		factor <<= 1
+	}
+	cdma := phy.OccupiedBandwidth(bitrate * float64(factor))
+	return fdma, cdma, nil
 }

@@ -31,8 +31,8 @@
 // Findings can be suppressed, with a mandatory reason, by a
 // "//pablint:ignore <rules> <reason>" comment on the offending line,
 // on the line directly above it, or — before the package clause — for
-// a whole file. Machine consumers get a stable JSON schema and a
-// baseline mechanism (json.go). See DESIGN.md §11.
+// a whole file. Machine consumers get a stable JSON schema (json.go).
+// See DESIGN.md §11.
 package lint
 
 import (
@@ -315,7 +315,7 @@ func Run(prog *Program, cfg *Config, analyzers []*Analyzer) []Finding {
 
 // RunAll is Run without the suppression filter: suppressed findings
 // are kept, marked with the directive's reason, so machine consumers
-// (the JSON output, baselines) see the whole picture.
+// (the JSON output) see the whole picture.
 //
 // Packages × analyzers fan out over a bounded worker pool; every task
 // writes into its own slot, so the merged output is deterministic

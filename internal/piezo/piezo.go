@@ -71,11 +71,6 @@ type Design struct {
 	// ReceiveResponse is the open-circuit receive sensitivity at
 	// resonance, V/Pa.
 	ReceiveResponse float64
-	// VerticalDirectivityExp shapes the vertical beam pattern
-	// |cos(elevation)|^exp. The paper's cylinder "vibrates radially
-	// making it omnidirectional in the horizontal plane" (§4.1); its
-	// vertical response falls off toward the cylinder axis. 0 = omni.
-	VerticalDirectivityExp float64
 }
 
 // PaperCylinder returns the design of the paper's transducer: a radially
@@ -106,8 +101,6 @@ func PaperCylinder() Design {
 		// which is what pins Fig 9's power-up ranges to metres.
 		TransmitResponse: 3,    // Pa·m/V
 		ReceiveResponse:  4e-4, // V/Pa
-		// A 4 cm tall radial cylinder has a broad vertical lobe.
-		VerticalDirectivityExp: 1,
 	}
 }
 
@@ -318,22 +311,6 @@ func RhoC(soundSpeed float64, saline bool) float64 {
 		rho = 1025.0
 	}
 	return rho * soundSpeed
-}
-
-// VerticalDirectivity returns the amplitude beam pattern at the given
-// elevation angle (radians from the horizontal plane):
-// |cos(elev)|^exp, floored at 0.05 so no path vanishes entirely
-// (diffraction and mounting scatter fill deep nulls in practice).
-func (t *Transducer) VerticalDirectivity(elevationRad float64) float64 {
-	exp := t.design.VerticalDirectivityExp
-	if exp <= 0 {
-		return 1
-	}
-	d := math.Pow(math.Abs(math.Cos(elevationRad)), exp)
-	if d < 0.05 {
-		return 0.05
-	}
-	return d
 }
 
 // ResponseTimeConstant returns the resonator's exponential settling time

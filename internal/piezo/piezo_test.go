@@ -270,24 +270,3 @@ func TestRhoC(t *testing.T) {
 		t.Error("salt rhoC wrong")
 	}
 }
-
-func TestVerticalDirectivity(t *testing.T) {
-	tr := mustNew(t, PaperCylinder())
-	// Unity broadside, rolling off toward the axis, floored at 0.05.
-	if d := tr.VerticalDirectivity(0); math.Abs(d-1) > 1e-12 {
-		t.Errorf("broadside %g, want 1", d)
-	}
-	if d := tr.VerticalDirectivity(math.Pi / 3); math.Abs(d-0.5) > 1e-12 {
-		t.Errorf("60° %g, want 0.5", d)
-	}
-	if d := tr.VerticalDirectivity(math.Pi / 2); d != 0.05 {
-		t.Errorf("axial %g, want floor 0.05", d)
-	}
-	// Omni when the exponent is zero.
-	d := PaperCylinder()
-	d.VerticalDirectivityExp = 0
-	omni := mustNew(t, d)
-	if omni.VerticalDirectivity(1.2) != 1 {
-		t.Error("zero exponent should be omnidirectional")
-	}
-}

@@ -96,7 +96,7 @@ type NodeSpec struct {
 // PHYSpec fixes the physical layer.
 type PHYSpec struct {
 	// Coding is the uplink line code; only "fm0" (the paper's) is
-	// implemented today. The field exists so manchester/cdma variants
+	// implemented today. The field exists so another line code would
 	// version the hash instead of aliasing it.
 	Coding          string  `json:"coding"`
 	SampleRateHz    float64 `json:"sample_rate_hz"`

@@ -31,6 +31,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"pab/internal/core"
 	"pab/internal/dsp"
@@ -82,8 +83,23 @@ func (c *Config) applyDefaults() error {
 	if c.CarrierDetectSamples <= 0 {
 		c.CarrierDetectSamples = 8192
 	}
+	// The window is sized from client-chosen rates before anything is
+	// allocated, so bound it here: in float64, because a tiny bitrate
+	// overflows int, and with !(≤) so a NaN is rejected too.
+	packetBits := float64(len(phy.PreambleBits) + frame.DataFrameBitLength(c.MaxPayloadBytes))
+	need := windowPackets*packetBits*math.Round(c.SampleRate/c.BitrateBps) + float64(c.BlockSize)
+	if !(need <= maxWindowSamples) {
+		return fmt.Errorf("stream: decode window of %.3g samples exceeds the %d-sample cap (bitrate %g bit/s too low for %g Hz sampling, or block %d too large)",
+			need, maxWindowSamples, c.BitrateBps, c.SampleRate, c.BlockSize)
+	}
 	return nil
 }
+
+// maxWindowSamples caps a decoder's window plus one block (64 MiB of
+// complex128). Fig 8's and Fig 11's slowest link, 100 bit/s at 96 kHz
+// with a frame.MaxPayload frame, needs about 1.08M samples; the cap
+// leaves room for that link at up to about 370 kHz sampling.
+const maxWindowSamples = 1 << 22
 
 // Frame is one decoded uplink packet with its position in the stream.
 type Frame struct {
@@ -143,6 +159,7 @@ type Decoder struct {
 	locked  bool
 	pending []float64 // raw volts buffered until the carrier locks
 	inAbs   int64     // total samples ever written
+	retryAt int64     // inAbs before which no new lock attempt runs
 
 	// Demodulation state (valid once locked).
 	mixer  *dsp.Downmixer
@@ -305,16 +322,21 @@ func (d *Decoder) pump(piece []float64, out []Frame) []Frame {
 }
 
 // absorb buffers pre-lock samples and attempts carrier acquisition
-// once enough lead-in has accumulated.
+// once enough lead-in has accumulated, then again every half detection
+// span while none locks: an FFT of the whole buffer on every block
+// costs a silent stream several times what the locked pipeline does.
 func (d *Decoder) absorb(piece []float64, out []Frame) []Frame {
 	d.pending = append(d.pending, piece...)
-	if len(d.pending) < d.cfg.CarrierDetectSamples {
+	if len(d.pending) < d.cfg.CarrierDetectSamples || d.inAbs < d.retryAt {
 		return out
 	}
 	if !d.tryLock() {
-		// No dominant carrier yet: bound the buffer, keeping the most
-		// recent samples (nothing before a lock is decodable anyway).
-		if limit := 4 * d.cfg.CarrierDetectSamples; len(d.pending) > limit {
+		d.retryAt = d.inAbs + int64(d.cfg.CarrierDetectSamples/2)
+		// Bound the buffer, keeping the most recent samples (nothing
+		// before a lock is decodable anyway). Trimming past 3 spans
+		// leaves room for the half span and the block that arrive
+		// before the next attempt within the 4-span allocation.
+		if limit := 3 * d.cfg.CarrierDetectSamples; len(d.pending) > limit {
 			drop := len(d.pending) - 2*d.cfg.CarrierDetectSamples
 			copy(d.pending, d.pending[drop:])
 			d.pending = d.pending[:len(d.pending)-drop]

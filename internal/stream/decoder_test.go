@@ -338,3 +338,59 @@ func TestDecoderConfigValidation(t *testing.T) {
 		}
 	}
 }
+
+func TestDecoderRejectsOversizedWindow(t *testing.T) {
+	// Each of these would size a window far beyond memory; the config
+	// must be refused before anything is allocated.
+	bad := []Config{
+		{SampleRate: 96000, CarrierHz: 15000, BitrateBps: 0.01},
+		{SampleRate: 96000, CarrierHz: 15000, BitrateBps: 1e-9},
+		{SampleRate: 96000, CarrierHz: 15000, BitrateBps: 500, BlockSize: 1 << 40},
+	}
+	for i, cfg := range bad {
+		if d, err := NewDecoder(cfg); err == nil {
+			d.Close()
+			t.Fatalf("config %d accepted: %+v", i, cfg)
+		}
+	}
+	// The slowest link the figures run (Fig 8, Fig 11) still opens.
+	d, err := NewDecoder(Config{SampleRate: 96000, CarrierHz: 15000, BitrateBps: 100, MaxPayloadBytes: frame.MaxPayload})
+	if err != nil {
+		t.Fatalf("100 bit/s at 96 kHz refused: %v", err)
+	}
+	d.Close()
+}
+
+func TestDecoderCarrierDetectIgnoresSilence(t *testing.T) {
+	payload := []byte("lead")
+	rec := synthPacket(t, payload)
+	dc := make([]float64, 16384)
+	for i := range dc {
+		dc[i] = 0.3
+	}
+	for name, lead := range map[string][]float64{
+		"zeros": make([]float64, 16384),
+		"dc":    dc,
+	} {
+		cfg := decoderCfg(512)
+		cfg.CarrierHz = 0
+		d, err := NewDecoder(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Write(lead); err != nil {
+			t.Fatal(err)
+		}
+		if got := d.Stats().CarrierHz; got != 0 {
+			t.Fatalf("%s lead-in: locked at %g Hz with no carrier present", name, got)
+		}
+		frames := feedAll(t, d, rec, 700)
+		if len(frames) != 1 || string(frames[0].Frame.Payload) != string(payload) {
+			t.Fatalf("%s lead-in: %d frames, want 1 with payload %q (stats %+v)", name, len(frames), payload, d.Stats())
+		}
+		if got := d.Stats().CarrierHz; math.Abs(got-synthCfg().CarrierHz) > 30 {
+			t.Fatalf("%s lead-in: detected carrier %g Hz, injected 3000", name, got)
+		}
+		d.Close()
+	}
+}

@@ -141,6 +141,9 @@ func (h *Hub) Open(format string, override *stream.Config) (*Session, error) {
 	if err != nil {
 		dec.Close()
 		telemetry.Inc(telemetry.MStreamStreamsRejectedTotal)
+		if errors.Is(err, ErrTooManyStreams) {
+			telemetry.Inc(telemetry.MStreamShedTotal)
+		}
 		return nil, err
 	}
 	telemetry.Inc(telemetry.MStreamStreamsOpenedTotal)
@@ -162,14 +165,18 @@ func (h *Hub) admit() (string, error) {
 	return "s" + strconv.FormatUint(h.nextID, 10), nil
 }
 
-// install registers a built session, re-checking the drain flag that
-// may have flipped while the decoder was allocating. Returns the
-// active-session count.
+// install registers a built session, re-checking the drain flag and
+// the stream cap: either may have changed while the decoder was
+// allocating, since concurrent opens all pass admit before any of them
+// installs. Returns the active-session count.
 func (h *Hub) install(s *Session) (int, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.draining {
 		return 0, ErrDraining
+	}
+	if len(h.sessions) >= h.cfg.MaxStreams {
+		return 0, ErrTooManyStreams
 	}
 	h.sessions[s.ID] = s
 	return len(h.sessions), nil

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -366,6 +367,64 @@ func TestIdleReaper(t *testing.T) {
 	}
 	if _, err := s.WriteSamples([]float64{0}); err == nil {
 		t.Fatal("write to a reaped session did not error")
+	}
+	drainHub(t, hub)
+}
+
+// TestInstallRechecksStreamCap opens two streams concurrently against
+// a cap of one: both pass admission before either installs, so the
+// cap must hold at install.
+func TestInstallRechecksStreamCap(t *testing.T) {
+	cfg := testHubCfg()
+	cfg.MaxStreams = 1
+	hub := NewHub(cfg)
+	id1, err := hub.admit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	id2, err := hub.admit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hub.install(&Session{ID: id1, hub: hub}); err != nil {
+		t.Fatalf("first install: %v", err)
+	}
+	if _, err := hub.install(&Session{ID: id2, hub: hub}); !errors.Is(err, ErrTooManyStreams) {
+		t.Fatalf("second install past the cap: err %v, want ErrTooManyStreams", err)
+	}
+	if n := hub.ActiveCount(); n != 1 {
+		t.Fatalf("%d active sessions, cap 1", n)
+	}
+}
+
+// TestOpenRejectsOversizedWindow asks for a 0.01 bit/s decoder, whose
+// window would need far more memory than exists: both open paths must
+// answer 400 instead of allocating it.
+func TestOpenRejectsOversizedWindow(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	hub := NewHub(testHubCfg())
+	srv := httptest.NewServer(NewServer(hub).Handler())
+	defer srv.Close()
+
+	body := `{"sample_rate": 96000, "bitrate_bps": 0.01, "max_payload_bytes": 64}`
+	resp, err := http.Post(srv.URL+"/v1/streams", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("open at 0.01 bit/s: %d, want 400", resp.StatusCode)
+	}
+	resp, err = http.Post(srv.URL+"/v1/decode?rate=96000&bitrate=0.01", "application/octet-stream", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("one-shot decode at 0.01 bit/s: %d, want 400", resp.StatusCode)
+	}
+	if n := hub.ActiveCount(); n != 0 {
+		t.Fatalf("%d sessions left after refused opens", n)
 	}
 	drainHub(t, hub)
 }

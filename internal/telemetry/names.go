@@ -55,17 +55,13 @@ const (
 	MMacSessionEvictionsTotal       Name = "mac_session_evictions_total"
 	MMacSessionQuarantinesTotal     Name = "mac_session_quarantines_total"
 
-	// phy — line decoders, preamble sync and CDMA despreading.
-	MPhyFm0DecodesTotal        Name = "phy_fm0_decodes_total"
-	MPhyFm0BitsTotal           Name = "phy_fm0_bits_total"
-	MPhyManchesterDecodesTotal Name = "phy_manchester_decodes_total"
-	MPhyManchesterBitsTotal    Name = "phy_manchester_bits_total"
-	MPhySyncMissesTotal        Name = "phy_sync_misses_total"
-	MPhySyncDetectsTotal       Name = "phy_sync_detects_total"
-	MPhySyncCandidates         Name = "phy_sync_candidates"
-	MPhySyncPeak               Name = "phy_sync_peak"
-	MPhyCdmaDespreadsTotal     Name = "phy_cdma_despreads_total"
-	MPhyCdmaBitsTotal          Name = "phy_cdma_bits_total"
+	// phy — line decoding and preamble sync.
+	MPhyFm0DecodesTotal  Name = "phy_fm0_decodes_total"
+	MPhyFm0BitsTotal     Name = "phy_fm0_bits_total"
+	MPhySyncMissesTotal  Name = "phy_sync_misses_total"
+	MPhySyncDetectsTotal Name = "phy_sync_detects_total"
+	MPhySyncCandidates   Name = "phy_sync_candidates"
+	MPhySyncPeak         Name = "phy_sync_peak"
 
 	// core — the end-to-end link, FDMA network and concurrent runner.
 	MCoreFdmaChannels                Name = "core_fdma_channels"
