@@ -53,12 +53,11 @@ var hotFuncs = map[string][]string{
 		"(*IIR).Filter", "(*IIR).FiltFilt", "(*IIR).filtFilt", "(*IIR).filtFiltIQ", "(*IIR).Settle",
 		"Decimate", "DecimateComplex",
 		"fftRadix2", "twiddlesFor", "releaseTwiddles", "twiddle", "radix2Stage", "radix4Stages", "Hilbert",
-		"OverlapSaveBlock", "(*OverlapSave).Correlate",
 	},
 	"pab/internal/phy": {
 		"(*FM0).Encode", "(*FM0).DecodeFrom", "(*FM0).EncodeTemplate",
 		"DetectPacket", "DetectPacketCandidates", "MeasureSNR",
-		"CorrelatorFor", "(*Correlator).overlapSave", "(*Correlator).Correlate",
+		"CorrelatorFor", "(*Correlator).correlateRuns", "(*Correlator).Correlate",
 		"(*Correlator).correlateReal", "(*Correlation).prefix", "(*moments).add",
 		"(*Correlation).scoreInto", "(*Correlation).Candidates", "pickPeaks", "maxAbsIn",
 	},

@@ -133,13 +133,6 @@ type Options struct {
 	MinGain float64
 	// CarrierHz is the frequency used for absorption (narrowband links).
 	CarrierHz float64
-	// SrcDirectivity and DstDirectivity, when non-nil, weight each image
-	// path by the endpoints' vertical beam patterns, evaluated at the
-	// path's elevation angle (radians from horizontal). Transducers like
-	// the paper's radial cylinder are horizontal-omni but roll off
-	// vertically, which de-weights steep surface/floor bounces.
-	SrcDirectivity func(elevationRad float64) float64
-	DstDirectivity func(elevationRad float64) float64
 }
 
 // DefaultOptions returns image-method settings appropriate for PAB links.
@@ -204,15 +197,6 @@ func (t Tank) Response(src, dst Vec3, fs float64, opt Options) (*ImpulseResponse
 								math.Pow(t.FloorReflect, math.Abs(float64(nz-w))) *
 								math.Pow(t.SurfaceReflect, math.Abs(float64(nz)))
 							g := refl * t.pathGain(r, opt.CarrierHz)
-							if opt.SrcDirectivity != nil || opt.DstDirectivity != nil {
-								elev := math.Asin(math.Abs(img.Z-dst.Z) / r)
-								if opt.SrcDirectivity != nil {
-									g *= opt.SrcDirectivity(elev)
-								}
-								if opt.DstDirectivity != nil {
-									g *= opt.DstDirectivity(elev)
-								}
-							}
 							if math.Abs(g) < floor {
 								continue
 							}

@@ -405,48 +405,6 @@ func TestToneThroughChannelKeepsFrequency(t *testing.T) {
 	}
 }
 
-func TestDirectivityDeweightsSteepPaths(t *testing.T) {
-	tank := PoolA()
-	src := Vec3{1, 1, 0.65}
-	dst := Vec3{2, 1.2, 0.65}
-	fs := 96000.0
-	omni := DefaultOptions(15000)
-	directive := omni
-	cosPattern := func(elev float64) float64 {
-		d := math.Abs(math.Cos(elev))
-		if d < 0.05 {
-			return 0.05
-		}
-		return d
-	}
-	directive.SrcDirectivity = cosPattern
-	directive.DstDirectivity = cosPattern
-
-	irO, err := tank.Response(src, dst, fs, omni)
-	if err != nil {
-		t.Fatal(err)
-	}
-	irD, err := tank.Response(src, dst, fs, directive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The direct (horizontal) path is untouched; total reverberant
-	// energy drops because the vertical bounces are de-weighted.
-	if math.Abs(irD.Taps[0].Gain-irO.Taps[0].Gain) > 1e-9 {
-		t.Errorf("horizontal direct path changed: %g vs %g", irD.Taps[0].Gain, irO.Taps[0].Gain)
-	}
-	energy := func(ir *ImpulseResponse) float64 {
-		e := 0.0
-		for _, tap := range ir.Taps[1:] {
-			e += tap.Gain * tap.Gain
-		}
-		return e
-	}
-	if energy(irD) >= energy(irO) {
-		t.Errorf("directive reverb energy %g should be below omni %g", energy(irD), energy(irO))
-	}
-}
-
 func TestSurfaceBounceCounting(t *testing.T) {
 	tank := PoolA()
 	ir, err := tank.Response(Vec3{1, 1, 0.65}, Vec3{2, 1.5, 0.65}, 96000,

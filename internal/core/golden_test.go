@@ -417,8 +417,9 @@ func TestDecodeRunsOneSyncStage(t *testing.T) {
 }
 
 // TestDecodeDemodulatesGatedSpan pins the front end's work: a decode
-// gated past the reader's query mixes and filters the gated span and
-// the channel filter's settle history, not the whole recording.
+// gated past the reader's query records, mixes and filters the gated
+// span and the channel filter's settle history, not the whole
+// recording.
 func TestDecodeDemodulatesGatedSpan(t *testing.T) {
 	link, cfg, res := pingExchange(t)
 	bitrate := link.Node().Bitrate()
@@ -448,7 +449,7 @@ func TestDecodeDemodulatesGatedSpan(t *testing.T) {
 		}
 	}
 	stages := prof.CollectStageStats(fresh)
-	for _, st := range []prof.Stage{prof.StageDownconvert, prof.StageFilter} {
+	for _, st := range []prof.Stage{prof.StageRecord, prof.StageDownconvert, prof.StageFilter} {
 		got := stages[st.Key]
 		if got.Count != 1 || got.TotalSamples != int64(want) {
 			t.Errorf("%s: %d calls over %d samples, want 1 over %d (recording %d, gate %d, settle %d)",

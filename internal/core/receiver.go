@@ -358,23 +358,30 @@ func (r *Receiver) acquire(parent *telemetry.Span, recording []float64, record b
 func (r *Receiver) frontEnd(parent *telemetry.Span, recording []float64, record bool, carrier, bitrate float64, searchFrom int) ([]complex128, float64, error) {
 	sp := parent.Child("demod")
 	defer sp.End()
+	searchFrom = max(searchFrom, 0)
+	if searchFrom >= len(recording) {
+		return nil, 0, fmt.Errorf("core: search start %d beyond recording %d", searchFrom, len(recording))
+	}
+	cutoff := ChannelCutoff(bitrate, r.SampleRate)
 	volts := recording
 	if record {
+		// Quantise only what DownconvertLP reads: the gated span and
+		// the channel filter's settling history before it.
+		from, err := dsp.DownconvertLPStart(searchFrom, r.SampleRate, cutoff, FilterOrder)
+		if err != nil {
+			return nil, 0, err
+		}
 		st := prof.Start(prof.StageRecord)
-		v, err := r.Hydro.Record(recording)
-		st.Stop(len(recording))
+		v, err := r.Hydro.RecordFrom(recording, from)
+		st.Stop(len(recording) - from)
 		if err != nil {
 			return nil, 0, err
 		}
 		volts = v
 	}
-	searchFrom = max(searchFrom, 0)
-	if searchFrom >= len(volts) {
-		return nil, 0, fmt.Errorf("core: search start %d beyond recording %d", searchFrom, len(volts))
-	}
 	// Demodulate only the gated span (plus the filter's settling
 	// history): nothing before searchFrom reaches the decoder.
-	bb, err := dsp.DownconvertLP(volts, searchFrom, carrier, r.SampleRate, ChannelCutoff(bitrate, r.SampleRate), FilterOrder)
+	bb, err := dsp.DownconvertLP(volts, searchFrom, carrier, r.SampleRate, cutoff, FilterOrder)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -3,9 +3,9 @@
 // mixing/downconversion, envelope detection and correlation.
 //
 // Everything operates on float64 (real) or complex128 sample slices.
-// The receive chain and the simulator spend most of their time here: in
-// the FFT (behind the preamble correlation, OverlapSave, and the
-// simulator's Hilbert transform) and in the Butterworth channel filter. The
+// The receive chain and the simulator spend much of their time here: in
+// the FFT (behind carrier detection and the simulator's Hilbert
+// transform), in mixing and in the Butterworth channel filter. The
 // kernels favour numerical robustness first (twiddles from a table, not a
 // drifting recurrence), then speed.
 package dsp
@@ -207,9 +207,11 @@ type twiddleTable struct {
 }
 
 // twiddleCap is the largest size whose twiddles are kept for the life
-// of the process: the receiver's largest overlap-save block, in a
-// 64 KiB table. Each entry comes from math.Sincos; a running product
-// w *= wStep drifts by ~k ulps over a long stage.
+// of the process, in a 64 KiB table. Each entry comes from math.Sincos;
+// a running product w *= wStep drifts by ~k ulps over a long stage.
+// Every larger table is derived from this one (twiddlesFor), so the
+// value fixes the bits of every transform above it, the simulator's
+// Hilbert transform included.
 const twiddleCap = 1 << 14
 
 // capTwiddles is built on first use; sync.OnceValue makes concurrent

@@ -83,7 +83,7 @@ func DownconvertLP(x []float64, from int, fc, fs, cutoff float64, order int) ([]
 	if err != nil {
 		return nil, err
 	}
-	lo := max(from-lp.Settle(), 0)
+	lo := readStart(lp, from)
 	st := prof.Start(prof.StageDownconvert)
 	bb := downconvertFrom(x, lo, fc, fs)
 	st.Stop(len(bb))
@@ -91,6 +91,23 @@ func DownconvertLP(x []float64, from int, fc, fs, cutoff float64, order int) ([]
 	lp.filtFiltIQ(bb)
 	st.Stop(len(bb))
 	return bb[from-lo:], nil
+}
+
+// DownconvertLPStart returns the first sample of x that
+// DownconvertLP(x, from, fc, fs, cutoff, order) reads, so a caller that
+// produces x can skip every sample before it.
+func DownconvertLPStart(from int, fs, cutoff float64, order int) (int, error) {
+	lp, err := DesignButterworthLowpass(cutoff, fs, order)
+	if err != nil {
+		return 0, err
+	}
+	return readStart(lp, from), nil
+}
+
+// readStart is the first sample a zero-phase pass of lp that keeps
+// [from:] reads: from less the forward pass's settle history.
+func readStart(lp *IIR, from int) int {
+	return max(from-lp.Settle(), 0)
 }
 
 // Envelope returns |x| of a complex baseband signal.

@@ -49,31 +49,47 @@ func (h Hydrophone) VoltsPerPascal() float64 {
 // Record converts a pressure waveform (Pa) into the recorded voltage
 // waveform, applying sensitivity, clipping and ADC quantisation.
 func (h Hydrophone) Record(pressure []float64) ([]float64, error) {
+	return h.RecordFrom(pressure, 0)
+}
+
+// RecordFrom is Record for a reader that uses only the samples from
+// index from on: the result has len(pressure) samples, but those before
+// from are left zero instead of quantised. AutoGain still sets the gain
+// from the whole waveform's peak, so every recorded sample equals
+// Record's bit for bit.
+func (h Hydrophone) RecordFrom(pressure []float64, from int) ([]float64, error) {
 	if err := h.Validate(); err != nil {
 		return nil, err
 	}
+	if from < 0 || from > len(pressure) {
+		return nil, fmt.Errorf("hydrophone: record start %d outside [0, %d]", from, len(pressure))
+	}
 	gain := h.VoltsPerPascal()
 	if h.AutoGain {
-		peak := 0.0
+		// Scaling by gain > 0 is monotonic under rounding, so the
+		// scaled peak is the peak of the scaled samples.
+		hi, lo := 0.0, 0.0
 		for _, p := range pressure {
-			if a := math.Abs(p) * gain; a > peak {
-				peak = a
+			if p > hi {
+				hi = p
+			} else if p < lo {
+				lo = p
 			}
 		}
-		if peak > 0.8*h.MaxInputV {
+		if peak := max(hi, -lo) * gain; peak > 0.8*h.MaxInputV {
 			gain *= 0.8 * h.MaxInputV / peak
 		}
 	}
 	lsb := h.lsbV()
 	out := make([]float64, len(pressure))
-	for i, p := range pressure {
+	for i, p := range pressure[from:] {
 		v := p * gain
 		if v > h.MaxInputV {
 			v = h.MaxInputV
 		} else if v < -h.MaxInputV {
 			v = -h.MaxInputV
 		}
-		out[i] = math.Round(v/lsb) * lsb
+		out[from+i] = math.Round(v/lsb) * lsb
 	}
 	return out, nil
 }

@@ -135,3 +135,73 @@ func TestAutoGainPreventsClipping(t *testing.T) {
 		t.Errorf("quiet signal was rescaled: peak %g, want 0.01", peak2)
 	}
 }
+
+// referenceRecord is the recording model written out sample by sample:
+// the AutoGain peak over every scaled sample, then clip and quantise.
+func referenceRecord(h Hydrophone, pressure []float64) []float64 {
+	gain := h.VoltsPerPascal()
+	if h.AutoGain {
+		peak := 0.0
+		for _, p := range pressure {
+			if a := math.Abs(p) * gain; a > peak {
+				peak = a
+			}
+		}
+		if peak > 0.8*h.MaxInputV {
+			gain *= 0.8 * h.MaxInputV / peak
+		}
+	}
+	lsb := h.lsbV()
+	out := make([]float64, len(pressure))
+	for i, p := range pressure {
+		v := math.Max(-h.MaxInputV, math.Min(h.MaxInputV, p*gain))
+		out[i] = math.Round(v/lsb) * lsb
+	}
+	return out
+}
+
+// TestRecordFromMatchesRecord checks that a gated recording equals the
+// whole recording bit for bit from its start on and is zero before
+// it, with the AutoGain peak (placed before the gate) still taken over
+// the whole waveform.
+func TestRecordFromMatchesRecord(t *testing.T) {
+	p := dsp.Sine(300, 15000, 96000, 0.1, 9600)
+	p[100] = -4000 // the loudest sample sits before every gate below
+	for _, auto := range []bool{false, true} {
+		h := H2a()
+		h.AutoGain = auto
+		want := referenceRecord(h, p)
+		for _, from := range []int{0, 1, 101, 5000, len(p)} {
+			got, err := h.RecordFrom(p, from)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(p) {
+				t.Fatalf("auto %v from %d: %d samples, want %d", auto, from, len(got), len(p))
+			}
+			for i := range got {
+				w := want[i]
+				if i < from {
+					w = 0
+				}
+				if got[i] != w {
+					t.Fatalf("auto %v from %d: sample %d = %g, want %g", auto, from, i, got[i], w)
+				}
+			}
+		}
+		whole, err := h.Record(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range whole {
+			if whole[i] != want[i] {
+				t.Fatalf("auto %v: Record sample %d = %g, want %g", auto, i, whole[i], want[i])
+			}
+		}
+	}
+	for _, from := range []int{-1, len(p) + 1} {
+		if _, err := H2a().RecordFrom(p, from); err == nil {
+			t.Errorf("start %d accepted", from)
+		}
+	}
+}

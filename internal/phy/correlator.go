@@ -3,9 +3,7 @@ package phy
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"pab/internal/dsp"
 	"pab/internal/telemetry"
@@ -22,21 +20,32 @@ import (
 // template h_c sums to zero, so Σ x[i+j]·h_c[j] = Re(ρ·C[i]) with
 // C[i] = Σ z[i+j]·h_c[j] computed once, and the window's variance
 // follows from five prefix sums of z (re, im, re², im², re·im).
+//
+// C itself comes from the prefix sums too. h_c is piecewise constant —
+// one run per FM0 half-bit level, 13 for the preamble — so with
+// P[k] = Σ z[0:k], C[i] = Σ_b w_b·P[i+t_b] over the template's run
+// breakpoints t_b (0, every level change, and m), each weighted by the
+// step h_c[t_b−1] − h_c[t_b] (h_c is zero outside [0, m)).
 type Correlator struct {
 	spb     int
-	hc      []float64 // the preamble template minus its mean
+	m       int // template length
 	hEnergy float64
 	// payloadLevel is the FM0 level after the preamble, for start
 	// levels −1 and +1.
 	payloadLevel [2]float64
-	// spectra caches hc's spectrum per overlap-save block size, indexed
-	// by log2(block) − log2(NextPow2(len(hc))); OverlapSaveBlock never
-	// exceeds NextPow2(8·len(hc)), so four slots cover every size.
-	spectra [4]atomic.Pointer[dsp.OverlapSave]
+	// breaks are h_c's run breakpoints, ascending from 0 to m.
+	breaks []breakpoint
+}
+
+// breakpoint is one term of the run-length correlation: C[i] gains
+// w·P[i+at].
+type breakpoint struct {
+	at int
+	w  float64
 }
 
 // correlators caches one Correlator per samples-per-bit, so a
-// template's spectra are computed once per process.
+// template's breakpoints are derived once per process.
 var (
 	correlatorsMu sync.Mutex
 	correlators   = map[int]*Correlator{}
@@ -50,31 +59,27 @@ func CorrelatorFor(m *FM0) *Correlator {
 		return k
 	}
 	tmpl := m.EncodeTemplate(PreambleBits)
-	k := &Correlator{spb: m.SamplesPerBit, hc: make([]float64, len(tmpl))}
+	hc := make([]float64, len(tmpl))
+	k := &Correlator{spb: m.SamplesPerBit, m: len(tmpl)}
 	mean := dsp.Mean(tmpl)
 	for i, v := range tmpl {
-		k.hc[i] = v - mean
-		k.hEnergy += k.hc[i] * k.hc[i]
+		hc[i] = v - mean
+		k.hEnergy += hc[i] * hc[i]
 	}
+	// Each bit holds at most two runs, so 2·bits+1 breakpoints at most.
+	breaks := make([]breakpoint, 0, 2*len(PreambleBits)+1)
+	breaks = append(breaks, breakpoint{at: 0, w: -hc[0]})
+	for j := 1; j < len(hc); j++ {
+		//pablint:ignore floatcmp hc holds two exact levels (±1 less one mean); any change of level is a breakpoint
+		if hc[j] != hc[j-1] {
+			breaks = append(breaks, breakpoint{at: j, w: hc[j-1] - hc[j]})
+		}
+	}
+	k.breaks = append(breaks, breakpoint{at: len(hc), w: hc[len(hc)-1]})
 	_, k.payloadLevel[0] = m.Encode(PreambleBits, -1)
 	_, k.payloadLevel[1] = m.Encode(PreambleBits, 1)
 	correlators[m.SamplesPerBit] = k
 	return k
-}
-
-// overlapSave returns the template prepared for a signal of n samples.
-func (k *Correlator) overlapSave(n int) *dsp.OverlapSave {
-	block := dsp.OverlapSaveBlock(len(k.hc), n)
-	slot := &k.spectra[bits.TrailingZeros(uint(block))-bits.TrailingZeros(uint(dsp.NextPow2(len(k.hc))))]
-	if o := slot.Load(); o != nil {
-		return o
-	}
-	o, err := dsp.NewOverlapSave(k.hc, block)
-	if err != nil {
-		panic(err) // OverlapSaveBlock returns a power of two ≥ len(hc)
-	}
-	slot.CompareAndSwap(nil, o)
-	return slot.Load()
 }
 
 // moments are running sums of z's components up to one index.
@@ -115,25 +120,64 @@ type Correlation struct {
 // Correlate correlates bb − offset against the preamble. Pass the
 // stream's mean as offset: the prefix sums then stay free of the
 // carrier's DC, which would otherwise cancel catastrophically in every
-// window variance. The Correlation reads bb while it is in use, so bb
-// must not change meanwhile.
+// window variance and in C. The Correlation reads bb while it is in
+// use, so bb must not change meanwhile.
 func (k *Correlator) Correlate(bb []complex128, offset complex128) (*Correlation, error) {
-	if len(bb) < len(k.hc) {
-		return nil, fmt.Errorf("phy: waveform shorter than preamble (%d < %d)", len(bb), len(k.hc))
+	if len(bb) < k.m {
+		return nil, fmt.Errorf("phy: waveform shorter than preamble (%d < %d)", len(bb), k.m)
 	}
+	// One ordered pass stores P = the re and im prefix sums of z and
+	// checkpoints all five moments.
+	p := make([]complex128, len(bb)+1)
 	checkpoints := make([]moments, len(bb)/checkpointEvery+1)
 	var s moments
 	for i, v := range bb {
 		if i%checkpointEvery == 0 {
 			checkpoints[i/checkpointEvery] = s
 		}
+		p[i] = complex(s.re, s.im)
 		s.add(v - offset)
 	}
+	p[len(bb)] = complex(s.re, s.im)
 	if len(bb)%checkpointEvery == 0 {
 		checkpoints[len(bb)/checkpointEvery] = s
 	}
-	c := k.overlapSave(len(bb)).Correlate(nil, bb, offset)
+	c := k.correlateRuns(p, len(bb)-k.m+1)
 	return &Correlation{k: k, bb: bb, offset: offset, c: c, checkpoints: checkpoints}, nil
+}
+
+// correlateRuns overwrites p[:n] with C[i] = Σ_b w_b·P[i+t_b], where p
+// holds P[0 : n+m]. C[i] reads only P[≥ i], so it can replace P[i] in
+// an ascending pass. Four alignments share each pass over the
+// breakpoints, which keeps eight independent sums in flight instead of
+// one dependent chain.
+func (k *Correlator) correlateRuns(p []complex128, n int) []complex128 {
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		var r0, i0, r1, i1, r2, i2, r3, i3 float64
+		for _, b := range k.breaks {
+			q := (*[4]complex128)(p[i+b.at:])
+			r0 += b.w * real(q[0])
+			i0 += b.w * imag(q[0])
+			r1 += b.w * real(q[1])
+			i1 += b.w * imag(q[1])
+			r2 += b.w * real(q[2])
+			i2 += b.w * imag(q[2])
+			r3 += b.w * real(q[3])
+			i3 += b.w * imag(q[3])
+		}
+		q := (*[4]complex128)(p[i:])
+		q[0], q[1], q[2], q[3] = complex(r0, i0), complex(r1, i1), complex(r2, i2), complex(r3, i3)
+	}
+	for ; i < n; i++ {
+		var re, im float64
+		for _, b := range k.breaks {
+			re += b.w * real(p[i+b.at])
+			im += b.w * imag(p[i+b.at])
+		}
+		p[i] = complex(re, im)
+	}
+	return p[:n]
 }
 
 // prefix returns the sums of z[0:j].
@@ -161,7 +205,7 @@ func (k *Correlator) correlateReal(wave []float64) (*Correlation, error) {
 // preamble into dst[i] — the value dsp.NormalizedCrossCorrelate gives
 // for that projection, up to rounding. rot must be a unit rotation.
 func (c *Correlation) scoreInto(dst []float64, rot complex128, lo int) {
-	m := len(c.k.hc)
+	m := c.k.m
 	invM, hEnergy := 1/float64(m), c.k.hEnergy
 	cr, ci := real(rot), imag(rot)
 	crr, cii, cri := cr*cr, ci*ci, 2*cr*ci
@@ -197,7 +241,7 @@ func (c *Correlation) scoreInto(dst []float64, rot complex128, lo int) {
 // polarity comes from the sign. Each call counts one phy sync detect
 // or miss, except when the window is shorter than the preamble.
 func (c *Correlation) Candidates(rot complex128, lo, hi int, threshold float64, maxK, minSeparation int) ([]Sync, error) {
-	m := len(c.k.hc)
+	m := c.k.m
 	if hi-lo < m {
 		return nil, fmt.Errorf("phy: waveform shorter than preamble (%d < %d)", hi-lo, m)
 	}

@@ -230,9 +230,9 @@ func TestPickPeaksMatchesFullScan(t *testing.T) {
 }
 
 // TestCorrelatorConcurrentFirstUse builds correlators and their cached
-// template spectra from many goroutines at once, at several bit
-// lengths and signal lengths (so several spectrum block sizes), and
-// checks every lock matches the serial result. Run it under -race.
+// template breakpoints from many goroutines at once, at several bit
+// lengths and signal lengths, and checks every lock matches the serial
+// result. Run it under -race.
 func TestCorrelatorConcurrentFirstUse(t *testing.T) {
 	type input struct {
 		m    *FM0
@@ -243,8 +243,6 @@ func TestCorrelatorConcurrentFirstUse(t *testing.T) {
 	var inputs []input
 	for _, spb := range []int{8, 12, 20, 32} {
 		m, _ := NewFM0(spb)
-		// A 60-bit stream is shorter than eight preambles, so it gets a
-		// smaller spectrum block than the 400-bit one.
 		for _, n := range []int{60 * spb, 400 * spb} {
 			wave := project(correlatorStream(rng, m, n, n/8, 1), 0, 1)
 			want, err := DetectPacket(wave, m, 0.3)
@@ -273,4 +271,83 @@ func TestCorrelatorConcurrentFirstUse(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestRunLengthCorrelationAccuracy bounds the prefix-sum correlation
+// against the direct O(m) sum C[i] = Σ_j z[i+j]·h_c[j] at the
+// receiver's bit lengths, on a residual-CFO carrier 10³–10⁵ times the
+// modulation (the regime where P grows largest), for streams up to
+// 2^20 samples. Each checked window must satisfy
+// |ΔC| ≤ 1e-10·√(Σ|z|²·Σh_c²) over that window.
+func TestRunLengthCorrelationAccuracy(t *testing.T) {
+	const fs = 96000.0
+	rng := rand.New(rand.NewSource(36))
+	worst := 0.0
+	for _, tc := range []struct {
+		spb     int
+		n       int
+		carrier float64
+		cfoHz   float64
+	}{
+		{194, 20000, 1e3, 0},
+		{194, 1 << 20, 1e5, 0.5},
+		{98, 1 << 18, 1e4, 0.25},
+		{64, 1 << 16, 1e5, 0.1},
+		{48, 1 << 20, 1e3, 0.5},
+		{48, 30000, 1e5, 0},
+	} {
+		m, err := NewFM0(tc.spb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := CorrelatorFor(m)
+		if got, limit := len(k.breaks), 2*len(PreambleBits)+1; got > limit {
+			t.Fatalf("spb %d: %d breakpoints, want ≤ %d", tc.spb, got, limit)
+		}
+		bb := correlatorStream(rng, m, tc.n, tc.n/3, cmplx.Exp(complex(0, 0.7)))
+		w := 2 * math.Pi * tc.cfoHz / fs
+		var mean complex128
+		for i := range bb {
+			s, c := math.Sincos(w*float64(i) + 0.3)
+			bb[i] += complex(tc.carrier*c, tc.carrier*s)
+			mean += bb[i]
+		}
+		mean /= complex(float64(len(bb)), 0)
+		corr, err := k.Correlate(bb, mean)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tmpl := m.EncodeTemplate(PreambleBits)
+		hc := make([]float64, len(tmpl))
+		tm := dsp.Mean(tmpl)
+		hEnergy := 0.0
+		for j, v := range tmpl {
+			hc[j] = v - tm
+			hEnergy += hc[j] * hc[j]
+		}
+		// Check the first and last alignments, the packet, and a
+		// stride across the rest.
+		last := len(corr.c) - 1
+		check := []int{0, 1, 2, 3, 4, last - 1, last, tc.n / 3}
+		for i := 5; i < last; i += 1 + last/200 {
+			check = append(check, i)
+		}
+		for _, i := range check {
+			var want complex128
+			zEnergy := 0.0
+			for j, h := range hc {
+				z := bb[i+j] - mean
+				want += z * complex(h, 0)
+				zEnergy += real(z)*real(z) + imag(z)*imag(z)
+			}
+			scale := math.Sqrt(zEnergy * hEnergy)
+			rel := cmplx.Abs(corr.c[i]-want) / scale
+			if rel > 1e-10 {
+				t.Fatalf("spb %d n %d carrier %g cfo %g: C[%d] = %v, direct %v (|Δ| = %.3g of the window bound)",
+					tc.spb, tc.n, tc.carrier, tc.cfoHz, i, corr.c[i], want, rel)
+			}
+			worst = max(worst, rel)
+		}
+	}
+	t.Logf("worst |ΔC|/√(Σ|z|²·Σh_c²) = %.3g", worst)
 }

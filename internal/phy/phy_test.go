@@ -2,6 +2,7 @@ package phy
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -487,5 +488,31 @@ func TestMeasureSNR(t *testing.T) {
 	}
 	if MeasureSNR(wave[:10], bits, m) != 0 {
 		t.Error("short wave should give zero SNR")
+	}
+}
+
+// TestCorrectCFOMatchesPerSampleSincos bounds the anchored phasor
+// against derotating every sample with its own math.Sincos, over
+// streams long enough to cross many anchors and at offsets spanning
+// the receiver's correction range.
+func TestCorrectCFOMatchesPerSampleSincos(t *testing.T) {
+	const fs = 96000.0
+	rng := rand.New(rand.NewSource(41))
+	for _, cfo := range []float64{-40, -3.7, 0.6, 1.5, 12.25, 40} {
+		for _, n := range []int{0, 1, 63, 64, 65, 1000, 1 << 18} {
+			bb := make([]complex128, n)
+			for i := range bb {
+				bb[i] = complex(rng.NormFloat64(), rng.NormFloat64()) * 1e3
+			}
+			got := CorrectCFO(bb, cfo, fs)
+			w := -2 * math.Pi * cfo / fs
+			for i, v := range bb {
+				s, c := math.Sincos(w * float64(i))
+				want := v * complex(c, s)
+				if d := cmplx.Abs(got[i] - want); d > 1e-12*cmplx.Abs(v) {
+					t.Fatalf("cfo %g n %d: sample %d off by %.3g of |v|", cfo, n, i, d/cmplx.Abs(v))
+				}
+			}
+		}
 	}
 }

@@ -131,6 +131,9 @@ type Stats struct {
 	Resyncs  int64
 	Flushes  int64
 	ScanHits int64
+	// NonFinite counts NaN and ±Inf input samples, each zeroed before
+	// the front end so the stream keeps its positions.
+	NonFinite int64
 	// WindowLen is the current decode-window length in samples.
 	WindowLen int
 }
@@ -179,6 +182,9 @@ type Decoder struct {
 	reBuf   []float64
 	imBuf   []float64
 	projBuf []float64
+	// finBuf holds a block with its non-finite samples zeroed; it is
+	// allocated on the first such sample.
+	finBuf []float64
 
 	stats  Stats
 	closed bool
@@ -314,11 +320,41 @@ func (d *Decoder) Stats() Stats {
 // pump processes one internal block: acquire the carrier if still
 // unlocked, otherwise ingest and run any due decode attempts.
 func (d *Decoder) pump(piece []float64, out []Frame) []Frame {
+	piece = d.finite(piece)
 	d.inAbs += int64(len(piece))
 	if !d.locked {
 		return d.absorb(piece, out)
 	}
 	return d.ingestAndDrain(piece, out)
+}
+
+// finite returns piece with every NaN and ±Inf sample zeroed, copied
+// into finBuf when it holds any so the caller's slice is not written:
+// one such sample would otherwise enter the carried mixer and filter
+// state and turn every later output NaN.
+func (d *Decoder) finite(piece []float64) []float64 {
+	bad := 0
+	for _, v := range piece {
+		if math.IsNaN(v - v) { // NaN exactly when v is NaN or ±Inf
+			bad++
+		}
+	}
+	if bad == 0 {
+		return piece
+	}
+	if d.finBuf == nil {
+		d.finBuf = make([]float64, d.cfg.BlockSize)
+	}
+	out := d.finBuf[:len(piece)]
+	for i, v := range piece {
+		if math.IsNaN(v - v) {
+			v = 0
+		}
+		out[i] = v
+	}
+	d.stats.NonFinite += int64(bad)
+	telemetry.Add(telemetry.MStreamNonFiniteTotal, int64(bad))
+	return out
 }
 
 // absorb buffers pre-lock samples and attempts carrier acquisition

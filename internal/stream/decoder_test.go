@@ -394,3 +394,31 @@ func TestDecoderCarrierDetectIgnoresSilence(t *testing.T) {
 		d.Close()
 	}
 }
+
+// TestDecoderSurvivesNonFiniteSamples: a NaN or ±Inf sample must not
+// enter the carried mixer and filter state. It is zeroed and counted,
+// stream positions hold, and both packets of a two-packet stream still
+// decode.
+func TestDecoderSurvivesNonFiniteSamples(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		rec := synthPacket(t, []byte("hello"))
+		rec = append(rec, rec...)
+		rec[100] = bad
+		d, err := NewDecoder(decoderCfg(512))
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames := feedAll(t, d, rec, 512)
+		st := d.Stats()
+		d.Close()
+		if len(frames) != 2 {
+			t.Fatalf("sample %g: %d frames, want 2 (stats %+v)", bad, len(frames), st)
+		}
+		if second := frames[1].Start; second < int64(len(rec)/2) {
+			t.Fatalf("sample %g: second frame starts at %d, before the second packet", bad, second)
+		}
+		if st.NonFinite != 1 || st.Samples != int64(len(rec)) {
+			t.Fatalf("sample %g: stats %+v, want 1 non-finite of %d samples", bad, st, len(rec))
+		}
+	}
+}

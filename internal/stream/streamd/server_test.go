@@ -428,3 +428,70 @@ func TestOpenRejectsOversizedWindow(t *testing.T) {
 	}
 	drainHub(t, hub)
 }
+
+// TestChunkIngestZeroesNonFinite feeds an f64le stream with one NaN
+// and one +Inf sample over HTTP: both are zeroed before the decoder,
+// counted in the session's stats, and the packets after them decode.
+func TestChunkIngestZeroesNonFinite(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	hub := NewHub(testHubCfg())
+	srv := httptest.NewServer(NewServer(hub).Handler())
+	defer srv.Close()
+
+	one := testRecording(t, []byte("finite"))
+	rec := append(append([]float64{}, one...), one...)
+	rec[100] = math.NaN()
+	rec[len(one)+50] = math.Inf(1)
+	resp, err := http.Post(srv.URL+"/v1/streams", "application/json", strings.NewReader(`{"format":"f64le"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var opened struct {
+		ID string `json:"id"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&opened)
+	resp.Body.Close()
+	if err != nil || opened.ID == "" {
+		t.Fatalf("open: %v (id %q)", err, opened.ID)
+	}
+	resp, err = http.Post(fmt.Sprintf("%s/v1/streams/%s/chunks", srv.URL, opened.ID),
+		"application/octet-stream", bytes.NewReader(f64leBytes(rec)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, err := countFrameRows(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Get(fmt.Sprintf("%s/v1/streams/%s", srv.URL, opened.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats struct {
+		Stats stream.Stats `json:"stats"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&stats)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/v1/streams/%s", srv.URL, opened.ID), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := countFrameRows(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frames += n; frames != 2 {
+		t.Fatalf("decoded %d frames, want 2 (stats %+v)", frames, stats.Stats)
+	}
+	if stats.Stats.NonFinite != 2 || stats.Stats.Samples != int64(len(rec)) {
+		t.Fatalf("stats %+v, want 2 non-finite of %d samples", stats.Stats, len(rec))
+	}
+	drainHub(t, hub)
+}

@@ -165,6 +165,7 @@ const (
 	MStreamResyncsTotal         Name = "stream_resyncs_total"
 	MStreamFlushesTotal         Name = "stream_flushes_total"
 	MStreamScanHitsTotal        Name = "stream_scan_hits_total"
+	MStreamNonFiniteTotal       Name = "stream_nonfinite_samples_total"
 	MStreamWindowSamples        Name = "stream_window_samples"
 	MStreamDecodeLatencySeconds Name = "stream_decode_latency_seconds"
 
